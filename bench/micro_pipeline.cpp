@@ -5,12 +5,13 @@
 //
 // Micro-benchmarks for the build-pipeline stages (what "approximate time
 // to reproduce" is made of): frontend compilation, reachability analysis,
-// CU formation, snapshotting, path-graph numbering, trace replay, and the
-// paging simulator.
+// CU formation, snapshotting, path-graph numbering, trace replay, the
+// program fingerprint, image write/read, and the paging simulator.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/profiling/Analyses.h"
 #include "src/runtime/Paging.h"
@@ -79,6 +80,50 @@ static void BM_FullImageBuild(benchmark::State &State) {
     benchmark::DoNotOptimize(buildNativeImage(*F.P, Cfg));
 }
 BENCHMARK(BM_FullImageBuild);
+
+static void BM_ProgramFingerprint(benchmark::State &State) {
+  ProgFixture &F = ProgFixture::get();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(programFingerprint(*F.P));
+  State.SetItemsProcessed(int64_t(State.iterations()) *
+                          int64_t(F.P->numMethods()));
+}
+BENCHMARK(BM_ProgramFingerprint);
+
+static void BM_ImageWrite(benchmark::State &State) {
+  ProgFixture &F = ProgFixture::get();
+  BuildConfig Cfg;
+  Cfg.Seed = 9;
+  NativeImage Img = buildNativeImage(*F.P, Cfg);
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::vector<uint8_t> Out = serializeImage(*F.P, Img);
+    Bytes = Out.size();
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes));
+}
+BENCHMARK(BM_ImageWrite);
+
+static void BM_ImageRead(benchmark::State &State) {
+  ProgFixture &F = ProgFixture::get();
+  BuildConfig Cfg;
+  Cfg.Seed = 9;
+  std::vector<uint8_t> Bytes =
+      serializeImage(*F.P, buildNativeImage(*F.P, Cfg));
+  for (auto _ : State) {
+    NativeImage Loaded;
+    std::string Error;
+    if (!deserializeImage(*F.P, Bytes, Loaded, Error)) {
+      State.SkipWithError(Error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(Loaded);
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes.size()));
+}
+BENCHMARK(BM_ImageRead);
 
 static void BM_PathGraphBuild(benchmark::State &State) {
   ProgFixture &F = ProgFixture::get();

@@ -296,6 +296,13 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   if (!emitReport(Report, Argc, Argv))
     return 1;
 
+  std::error_code DirError;
+  std::filesystem::create_directories(Dir, DirError);
+  if (DirError) {
+    std::fprintf(stderr, "error: cannot create profile directory %s: %s\n",
+                 Dir.c_str(), DirError.message().c_str());
+    return 1;
+  }
   bool Ok = writeFile(Dir + "/cu.csv", Prof.Cu.toCsv()) &&
             writeFile(Dir + "/method.csv", Prof.Method.toCsv()) &&
             writeFile(Dir + "/cluster.csv", Prof.Cluster.toCsv()) &&

@@ -148,7 +148,8 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   // Profile validation (degradation policy): a corrupt, stale, or
   // mismatched profile downgrades the affected ordering to the default
   // layout; it never fails the build.
-  uint64_t BuildFp = programFingerprint(P);
+  Img.ProgramFingerprint = programFingerprint(P);
+  const uint64_t BuildFp = Img.ProgramFingerprint;
   const CodeProfile *CodeProf = Cfg.CodeProf;
   // Fleet aggregation: merge the offered member set into the code profile
   // (quarantining damaged members with typed reasons) and hand the result
@@ -426,7 +427,7 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     return Capture;
   };
 
-  uint64_t Fp = programFingerprint(P);
+  uint64_t Fp = Img.ProgramFingerprint;
   uint64_t Gen = InstrumentedCfg.ProfileGeneration;
 
   if (SampledCode) {
@@ -580,7 +581,7 @@ nimg::collectProfileSet(Program &P, const BuildConfig &InstrumentedCfg,
     return buildNativeImage(P, Cfg);
   }();
   assert(!Img.Built.Failed && "instrumented build failed");
-  uint64_t Fp = programFingerprint(P);
+  uint64_t Fp = Img.ProgramFingerprint;
 
   std::unordered_set<std::string> Seen;
   for (size_t I = 0; I < InstanceNames.size(); ++I) {

@@ -59,12 +59,11 @@ CellIdx Heap::internString(const std::string &S) {
   return C;
 }
 
-bool Heap::isInterned(CellIdx C) const {
-  const HeapCell &Cell = cell(C);
-  if (Cell.Kind != CellKind::String)
-    return false;
-  auto It = InternTable.find(Cell.Str);
-  return It != InternTable.end() && It->second == C;
+std::vector<uint8_t> Heap::internedFlags() const {
+  std::vector<uint8_t> Flags(Cells.size(), 0);
+  for (const auto &[Str, C] : InternTable)
+    Flags[size_t(C)] = 1;
+  return Flags;
 }
 
 uint32_t Heap::cellSizeBytes(CellIdx C) const {

@@ -9,9 +9,8 @@
 /// Tagged runtime values and the heap used both at build time (to execute
 /// static initializers and snapshot the resulting object graph, Sec. 2
 /// "Heap Snapshotting") and at run time (the image heap plus runtime
-/// allocations). Cells carry a snapshot index: cells with a nonnegative
-/// index live in the image's .svm_heap section and their first access
-/// faults pages; cells with index -1 are runtime-allocated (RAM only).
+/// allocations). Which cells live in the image's .svm_heap section, and
+/// fault pages on first access, is recorded by the HeapSnapshot, not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,10 +111,6 @@ struct HeapCell {
   TypeId ArrayType = -1;   ///< For arrays: the array type (element derivable).
   std::vector<Value> Slots; ///< Fields (layout order) or elements.
   std::string Str;          ///< For strings.
-  /// Position in the image heap snapshot; -1 when runtime-allocated or
-  /// elided from the snapshot by the PEA-style pass (Sec. 2 "Heap
-  /// Snapshotting": stack-allocated / constant-folded objects).
-  int32_t SnapshotIndex = -1;
 };
 
 /// The heap: an append-only cell store plus a string intern table.
@@ -132,8 +127,9 @@ public:
   /// Returns the interned cell for \p S, allocating it on first use.
   /// Interned strings become InternedString heap roots (Sec. 5.3).
   CellIdx internString(const std::string &S);
-  /// Returns true if \p C is an interned string cell.
-  bool isInterned(CellIdx C) const;
+  /// One flag per cell, 1 for each interned string cell, from a single
+  /// pass over the intern table.
+  std::vector<uint8_t> internedFlags() const;
   /// Registers an existing string cell as the interned instance for its
   /// contents. Used when deserializing a heap; the first registration for
   /// a given content wins.
@@ -151,6 +147,7 @@ public:
     return Cells[size_t(C)];
   }
   size_t numCells() const { return Cells.size(); }
+  void reserveCells(size_t N) { Cells.reserve(N); }
 
   Program &program() { return Prog; }
   const Program &program() const { return Prog; }

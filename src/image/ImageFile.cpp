@@ -7,6 +7,9 @@
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
 
+#include <cstring>
+#include <string_view>
+
 using namespace nimg;
 
 // Format versions, newest written. V2 appends the per-region page-size
@@ -15,67 +18,145 @@ using namespace nimg;
 static constexpr uint32_t kMagicV1 = 0x314D494Eu; // "NIM1"
 static constexpr uint32_t kMagicV2 = 0x324D494Eu; // "NIM2"
 
+namespace {
+
+/// Feeds the fingerprint encoding to an incremental MurmurHash3 through a
+/// fixed block buffer. The bytes hashed are exactly the ones the encoding
+/// would append to a ByteBuffer, but no whole-program buffer is built.
+class FingerprintStream {
+public:
+  void u32(uint32_t V) {
+    uint8_t Raw[4];
+    storeLE(Raw, V);
+    bytes(Raw, sizeof(Raw));
+  }
+
+  void sizedString(std::string_view S) {
+    u32(uint32_t(S.size()));
+    bytes(S.data(), S.size());
+  }
+
+  /// One 37-byte instruction record, copied into the block buffer at once.
+  void instr(const Instr &In) {
+    uint8_t Rec[37];
+    uint64_t FBits = 0;
+    std::memcpy(&FBits, &In.FImm, sizeof(FBits));
+    Rec[0] = uint8_t(In.Op);
+    storeLE(Rec + 1, uint32_t(In.Dst) | (uint32_t(In.A) << 16));
+    storeLE(Rec + 5, uint32_t(In.B) | (uint32_t(In.C) << 16));
+    storeLE(Rec + 9, uint64_t(In.IImm));
+    storeLE(Rec + 17, FBits);
+    storeLE(Rec + 25, uint32_t(In.Aux));
+    storeLE(Rec + 29, uint32_t(In.Aux2));
+    storeLE(Rec + 33, uint32_t(In.Target));
+    bytes(Rec, sizeof(Rec));
+  }
+
+  uint64_t finish() {
+    flush();
+    return Hash.digest().Lo;
+  }
+
+private:
+  static constexpr size_t Capacity = 32 * 1024;
+
+  /// Buffers \p N bytes; a run longer than the buffer goes to the hash
+  /// directly.
+  void bytes(const void *Data, size_t N) {
+    if (N > Capacity - Len) {
+      flush();
+      if (N > Capacity) {
+        Hash.update(Data, N);
+        return;
+      }
+    }
+    std::memcpy(Buf + Len, Data, N);
+    Len += N;
+  }
+
+  void flush() {
+    Hash.update(Buf, Len);
+    Len = 0;
+  }
+
+  Murmur3Stream Hash;
+  size_t Len = 0;
+  uint8_t Buf[Capacity] = {};
+};
+
+} // namespace
+
 uint64_t nimg::programFingerprint(const Program &P) {
-  ByteBuffer B;
+  FingerprintStream S;
   for (size_t C = 0; C < P.numClasses(); ++C) {
     const ClassDef &Def = P.classDef(ClassId(C));
-    B.appendSizedString(Def.Name);
-    B.appendU32(uint32_t(Def.Super + 1));
+    S.sizedString(Def.Name);
+    S.u32(uint32_t(Def.Super + 1));
     for (const Field &F : Def.InstanceFields) {
-      B.appendSizedString(F.Name);
-      B.appendSizedString(P.typeName(F.Type));
+      S.sizedString(F.Name);
+      S.sizedString(P.typeName(F.Type));
     }
     for (const Field &F : Def.StaticFields) {
-      B.appendSizedString(F.Name);
-      B.appendSizedString(P.typeName(F.Type));
+      S.sizedString(F.Name);
+      S.sizedString(P.typeName(F.Type));
     }
   }
   for (size_t M = 0; M < P.numMethods(); ++M) {
     const Method &Meth = P.method(MethodId(M));
-    B.appendSizedString(Meth.Sig);
-    B.appendU32(uint32_t(Meth.Blocks.size()));
+    S.sizedString(Meth.Sig);
+    S.u32(uint32_t(Meth.Blocks.size()));
     for (const BasicBlock &BB : Meth.Blocks) {
-      B.appendU32(uint32_t(BB.Instrs.size()));
-      for (const Instr &In : BB.Instrs) {
-        B.appendU8(uint8_t(In.Op));
-        B.appendU32(uint32_t(In.Dst) | (uint32_t(In.A) << 16));
-        B.appendU32(uint32_t(In.B) | (uint32_t(In.C) << 16));
-        B.appendI64(In.IImm);
-        B.appendF64(In.FImm);
-        B.appendU32(uint32_t(In.Aux));
-        B.appendU32(uint32_t(In.Aux2));
-        B.appendU32(uint32_t(In.Target));
-      }
+      S.u32(uint32_t(BB.Instrs.size()));
+      for (const Instr &In : BB.Instrs)
+        S.instr(In);
     }
   }
-  for (size_t S = 0; S < P.numStrings(); ++S)
-    B.appendSizedString(P.string(StrId(S)));
-  return murmurHash3(B.bytes());
+  for (size_t Str = 0; Str < P.numStrings(); ++Str)
+    S.sizedString(P.string(StrId(Str)));
+  return S.finish();
 }
 
 namespace {
 
 // --- Writer helpers -----------------------------------------------------------
 
-void putBools(ByteBuffer &B, const std::vector<bool> &V) {
+/// Counts what an encoding would append, so serializeImage sizes its
+/// output once.
+class ByteCounter {
+public:
+  void appendU8(uint8_t) { N += 1; }
+  void appendU32(uint32_t) { N += 4; }
+  void appendU64(uint64_t) { N += 8; }
+  void appendI64(int64_t) { N += 8; }
+  void appendSizedString(std::string_view S) { N += 4 + S.size(); }
+  size_t size() const { return N; }
+
+private:
+  size_t N = 0;
+};
+
+template <class Sink> void putBools(Sink &B, const std::vector<bool> &V) {
   B.appendU32(uint32_t(V.size()));
   for (bool X : V)
     B.appendU8(X ? 1 : 0);
 }
 
-void putU64s(ByteBuffer &B, const std::vector<uint64_t> &V) {
+template <class Sink> void putU64s(Sink &B, const std::vector<uint64_t> &V) {
   B.appendU32(uint32_t(V.size()));
   for (uint64_t X : V)
     B.appendU64(X);
 }
 
-void putI32s(ByteBuffer &B, const std::vector<int32_t> &V) {
+template <class Sink> void putI32s(Sink &B, const std::vector<int32_t> &V) {
   B.appendU32(uint32_t(V.size()));
   for (int32_t X : V)
     B.appendU32(uint32_t(X));
 }
 
-void putValue(ByteBuffer &B, const Value &V) {
+/// Encoded size of one Value: kind byte plus 64-bit payload.
+constexpr size_t kValueBytes = 1 + 8;
+
+template <class Sink> void putValue(Sink &B, const Value &V) {
   B.appendU8(uint8_t(V.Kind));
   B.appendI64(V.Kind == ValueKind::Ref ? int64_t(V.Ref) : V.I);
 }
@@ -94,50 +175,42 @@ public:
       return 0;
     return Bytes[Pos++];
   }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= uint32_t(Bytes[Pos++]) << (I * 8);
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= uint64_t(Bytes[Pos++]) << (I * 8);
-    return V;
-  }
+  uint32_t u32() { return fixed<uint32_t>(); }
+  uint64_t u64() { return fixed<uint64_t>(); }
   int64_t i64() { return int64_t(u64()); }
+  /// Reads an element count, failing unless that many elements of at
+  /// least \p ElemBytes each fit in the rest of the file. Callers may
+  /// size containers from the result.
+  uint32_t count(size_t ElemBytes) {
+    uint32_t N = u32();
+    if (ok() && N > (Bytes.size() - Pos) / ElemBytes) {
+      fail("unexpected end of image file");
+      return 0;
+    }
+    return N;
+  }
   std::string str() {
-    uint32_t Len = u32();
-    if (!need(Len))
-      return {};
-    std::string S(reinterpret_cast<const char *>(&Bytes[Pos]), Len);
+    uint32_t Len = count(1);
+    std::string S(reinterpret_cast<const char *>(Bytes.data() + Pos), Len);
     Pos += Len;
     return S;
   }
   std::vector<bool> bools() {
-    uint32_t N = u32();
-    std::vector<bool> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(u8() != 0);
+    std::vector<bool> V(count(1));
+    for (size_t I = 0; I < V.size(); ++I)
+      V[I] = u8() != 0;
     return V;
   }
   std::vector<uint64_t> u64s() {
-    uint32_t N = u32();
-    std::vector<uint64_t> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(u64());
+    std::vector<uint64_t> V(count(8));
+    for (uint64_t &X : V)
+      X = u64();
     return V;
   }
   std::vector<int32_t> i32s() {
-    uint32_t N = u32();
-    std::vector<int32_t> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(int32_t(u32()));
+    std::vector<int32_t> V(count(4));
+    for (int32_t &X : V)
+      X = int32_t(u32());
     return V;
   }
   Value value() {
@@ -170,6 +243,13 @@ public:
   }
 
 private:
+  template <class T> T fixed() {
+    if (!need(sizeof(T)))
+      return 0;
+    T V = loadLE<T>(Bytes.data() + Pos);
+    Pos += sizeof(T);
+    return V;
+  }
   bool need(size_t N) {
     if (Failed)
       return false;
@@ -186,14 +266,13 @@ private:
   bool Failed = false;
 };
 
-} // namespace
-
-std::vector<uint8_t> nimg::serializeImage(const Program &P,
-                                          const NativeImage &Img) {
-  assert(Img.P == &P && "image was built from a different program");
-  ByteBuffer B;
+/// Appends the image file encoding of \p Img to \p B. \p Interned holds
+/// one flag per build-heap cell (Heap::internedFlags).
+template <class Sink>
+void encodeImage(Sink &B, const NativeImage &Img,
+                 const std::vector<uint8_t> &Interned) {
   B.appendU32(kMagicV2);
-  B.appendU64(programFingerprint(P));
+  B.appendU64(Img.ProgramFingerprint);
   B.appendU8(Img.Instrumented ? 1 : 0);
   B.appendU64(Img.Seed);
 
@@ -233,7 +312,7 @@ std::vector<uint8_t> nimg::serializeImage(const Program &P,
     for (const Value &V : Cell.Slots)
       putValue(B, V);
     B.appendSizedString(Cell.Str);
-    B.appendU8(H.isInterned(CellIdx(C)) ? 1 : 0);
+    B.appendU8(Interned[C]);
   }
   B.appendU32(uint32_t(Img.Built.Statics.size()));
   for (const auto &Row : Img.Built.Statics) {
@@ -336,8 +415,22 @@ std::vector<uint8_t> nimg::serializeImage(const Program &P,
   B.appendU64(0);
   B.appendU64(Img.Layout.HeapSize);
   B.appendU32(Img.Layout.PageSize);
+}
 
-  return B.bytes();
+} // namespace
+
+std::vector<uint8_t> nimg::serializeImage(const Program &P,
+                                          const NativeImage &Img) {
+  assert(Img.P == &P && "image was built from a different program");
+  (void)P;
+  std::vector<uint8_t> Interned = Img.Built.BuildHeap->internedFlags();
+  ByteCounter Size;
+  encodeImage(Size, Img, Interned);
+  ByteBuffer B;
+  B.reserve(Size.size());
+  encodeImage(B, Img, Interned);
+  assert(B.size() == Size.size() && "image size pass disagrees with writer");
+  return B.take();
 }
 
 bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
@@ -359,6 +452,7 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     return false;
   }
   Out.P = &P;
+  Out.ProgramFingerprint = Fingerprint;
   Out.Instrumented = C.u8() != 0;
   Out.Seed = C.u64();
 
@@ -370,13 +464,15 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   Out.Code.Instrumented = C.u8() != 0;
   Out.Code.InlineFingerprint = C.u64();
   Out.Code.CuOfMethod = C.i32s();
-  uint32_t NumCus = C.u32();
+  uint32_t NumCus = C.count(3 * 4);
   Out.Code.CUs.clear();
+  Out.Code.CUs.reserve(NumCus);
   for (uint32_t I = 0; I < NumCus && C.ok(); ++I) {
     CompilationUnit CU;
     CU.Root = MethodId(C.u32());
     CU.CodeSize = C.u32();
-    uint32_t NumCopies = C.u32();
+    uint32_t NumCopies = C.count(5 * 4);
+    CU.Copies.reserve(NumCopies);
     for (uint32_t K = 0; K < NumCopies && C.ok(); ++K) {
       InlineCopy Copy;
       Copy.Method = MethodId(C.u32());
@@ -395,25 +491,26 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
 
   Out.Built.BuildHeap = std::make_unique<Heap>(P);
   Heap &H = *Out.Built.BuildHeap;
-  uint32_t NumCells = C.u32();
+  // Smallest cell record: kind, class, array type, slot count, an empty
+  // string, interned flag.
+  uint32_t NumCells = C.count(1 + 4 + 4 + 4 + 4 + 1);
+  H.reserveCells(NumCells);
   for (uint32_t I = 0; I < NumCells && C.ok(); ++I) {
     CellKind Kind = CellKind(C.u8());
     ClassId Class = ClassId(C.u32());
     TypeId ArrayType = TypeId(C.u32());
-    uint32_t NumSlots = C.u32();
-    std::vector<Value> Slots;
-    for (uint32_t K = 0; K < NumSlots && C.ok(); ++K)
-      Slots.push_back(C.value());
-    std::string Str = C.str();
-    bool Interned = C.u8() != 0;
+    uint32_t NumSlots = C.count(kValueBytes);
+    if (!C.ok())
+      break;
     // Recreate the cell at the same index: the serialized graph encodes
     // sharing via cell indices, so no dedup may happen here. Interned
     // strings re-register in the intern table afterwards.
-    CellIdx Cell;
+    CellIdx Cell = -1;
     switch (Kind) {
     case CellKind::Object:
-      if (Class < 0 || size_t(Class) >= P.numClasses()) {
-        C.fail("cell class out of range");
+      if (Class < 0 || size_t(Class) >= P.numClasses() ||
+          P.classDef(Class).IsAbstract) {
+        C.fail("cell class out of range or abstract");
         return false;
       }
       Cell = H.allocObject(Class);
@@ -427,26 +524,34 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
       Cell = H.allocArray(ArrayType, int64_t(NumSlots));
       break;
     case CellKind::String:
-      Cell = H.allocString(Str);
-      if (Interned)
-        H.registerInterned(Cell);
+      Cell = H.allocString({});
       break;
+    default:
+      C.fail("corrupt cell kind");
+      return false;
     }
-    if (H.cell(Cell).Slots.size() != Slots.size()) {
+    HeapCell &Target = H.cell(Cell);
+    if (Target.Slots.size() != NumSlots) {
       C.fail("cell slot count mismatch");
       return false;
     }
-    H.cell(Cell).Slots = std::move(Slots);
+    for (Value &V : Target.Slots)
+      V = C.value();
+    std::string Str = C.str();
+    bool Interned = C.u8() != 0;
+    if (Kind == CellKind::String) {
+      Target.Str = std::move(Str);
+      if (Interned)
+        H.registerInterned(Cell);
+    }
   }
 
-  uint32_t NumStaticRows = C.u32();
-  Out.Built.Statics.clear();
-  for (uint32_t I = 0; I < NumStaticRows && C.ok(); ++I) {
-    uint32_t N = C.u32();
-    std::vector<Value> Row;
-    for (uint32_t K = 0; K < N && C.ok(); ++K)
-      Row.push_back(C.value());
-    Out.Built.Statics.push_back(std::move(Row));
+  uint32_t NumStaticRows = C.count(4);
+  Out.Built.Statics.assign(NumStaticRows, {});
+  for (std::vector<Value> &Row : Out.Built.Statics) {
+    Row.resize(C.count(kValueBytes));
+    for (Value &V : Row)
+      V = C.value();
   }
   Out.Built.InitOrder = C.i32s();
   Out.Built.ClassMetaCells = C.i32s();
@@ -456,9 +561,11 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     Out.Built.ResourceCells.emplace(Name, CellIdx(C.u32()));
   }
 
-  uint32_t NumEntries = C.u32();
+  uint32_t NumEntries = C.count(4 + 4 + 1 + 1 + 4 + 4 + 4);
   Out.Snapshot.Entries.clear();
   Out.Snapshot.EntryOfCell.clear();
+  Out.Snapshot.Entries.reserve(NumEntries);
+  Out.Snapshot.EntryOfCell.reserve(NumEntries);
   for (uint32_t I = 0; I < NumEntries && C.ok(); ++I) {
     SnapshotEntry E;
     E.Cell = CellIdx(C.u32());

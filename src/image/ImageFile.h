@@ -31,15 +31,20 @@ namespace nimg {
 
 /// Stable fingerprint of a program: hashes class names, method signatures
 /// and code, and the string table. Two Programs with the same fingerprint
-/// are layout-compatible.
+/// are layout-compatible. The encoding streams through a fixed-size buffer
+/// into an incremental MurmurHash3, so the cost is one pass over the
+/// program and no whole-program buffer. The pipeline computes it once per
+/// build and once per load; see NativeImage::ProgramFingerprint.
 uint64_t programFingerprint(const Program &P);
 
-/// Serializes \p Img (which must have been built from \p P).
+/// Serializes \p Img (which must have been built from \p P). Writes the
+/// fingerprint recorded on \p Img; the program is not rehashed on write.
 std::vector<uint8_t> serializeImage(const Program &P, const NativeImage &Img);
 
 /// Deserializes an image against \p P. Returns false and sets \p Error on
-/// format or fingerprint mismatch. On success \p Out is runnable with
-/// runImage().
+/// format or fingerprint mismatch. This is the one reader that hashes
+/// \p P: on success the checked value is recorded on \p Out, and \p Out
+/// is runnable with runImage().
 bool deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
                       NativeImage &Out, std::string &Error);
 

@@ -46,6 +46,11 @@ struct NativeImage {
   IdTable Ids;
   bool Instrumented = false;
   uint64_t Seed = 0;
+  /// programFingerprint() of the classpath this image belongs to. Computed
+  /// once per build (buildNativeImage) and once per load (deserializeImage,
+  /// which checks it against the program); serializeImage and the profile
+  /// collectors reuse it and never rehash the program.
+  uint64_t ProgramFingerprint = 0;
   /// Profile-ingestion outcome of this build: whether offered profiles
   /// were applied, and why any were rejected (degradation policy).
   ProfileDiagnostics ProfileDiag;

@@ -7,21 +7,48 @@
 ///
 /// \file
 /// Append-only byte buffer used by the structural-hash and heap-path
-/// identity strategies to encode objects before hashing (Alg. 2/3), and by
-/// the trace writer. All multi-byte values are encoded little-endian so
-/// hashes are stable across hosts.
+/// identity strategies to encode objects before hashing (Alg. 2/3), by the
+/// snapshot's escape-analysis keys, and by the image file writer. All
+/// multi-byte values are encoded little-endian so hashes are stable across
+/// hosts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef NIMG_SUPPORT_BYTEBUFFER_H
 #define NIMG_SUPPORT_BYTEBUFFER_H
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace nimg {
+
+/// Stores \p V at \p Dst as sizeof(T) little-endian bytes.
+template <class T> inline void storeLE(uint8_t *Dst, T V) {
+  static_assert(std::is_unsigned_v<T>, "encode unsigned values");
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(Dst, &V, sizeof(T));
+  } else {
+    for (size_t I = 0; I < sizeof(T); ++I)
+      Dst[I] = uint8_t(V >> (I * 8));
+  }
+}
+
+/// Loads sizeof(T) little-endian bytes at \p Src.
+template <class T> inline T loadLE(const uint8_t *Src) {
+  static_assert(std::is_unsigned_v<T>, "decode unsigned values");
+  T V = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&V, Src, sizeof(T));
+  } else {
+    for (size_t I = 0; I < sizeof(T); ++I)
+      V |= T(Src[I]) << (I * 8);
+  }
+  return V;
+}
 
 /// An append-only little-endian byte buffer.
 class ByteBuffer {
@@ -30,15 +57,9 @@ public:
 
   void appendU8(uint8_t V) { Bytes.push_back(V); }
 
-  void appendU32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Bytes.push_back(uint8_t(V >> (I * 8)));
-  }
+  void appendU32(uint32_t V) { appendLE(V); }
 
-  void appendU64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Bytes.push_back(uint8_t(V >> (I * 8)));
-  }
+  void appendU64(uint64_t V) { appendLE(V); }
 
   void appendI64(int64_t V) { appendU64(uint64_t(V)); }
 
@@ -70,12 +91,26 @@ public:
     Bytes.insert(Bytes.end(), B.begin(), B.end());
   }
 
+  void reserve(size_t N) { Bytes.reserve(N); }
+
   const std::vector<uint8_t> &bytes() const { return Bytes; }
+  /// Moves the contents out, leaving the buffer empty.
+  std::vector<uint8_t> take() {
+    std::vector<uint8_t> Out;
+    Out.swap(Bytes);
+    return Out;
+  }
   size_t size() const { return Bytes.size(); }
   bool empty() const { return Bytes.empty(); }
   void clear() { Bytes.clear(); }
 
 private:
+  template <class T> void appendLE(T V) {
+    uint8_t Raw[sizeof(T)];
+    storeLE(Raw, V);
+    Bytes.insert(Bytes.end(), Raw, Raw + sizeof(T));
+  }
+
   std::vector<uint8_t> Bytes;
 };
 

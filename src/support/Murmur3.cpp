@@ -7,6 +7,7 @@
 
 #include "src/support/Murmur3.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace nimg;
@@ -30,17 +31,12 @@ static inline uint64_t getBlock64(const uint8_t *P, size_t I) {
   return V;
 }
 
-Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
-                                       uint64_t Seed) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  const size_t NumBlocks = Len / 16;
+static constexpr uint64_t C1 = 0x87c37b91114253d5ULL;
+static constexpr uint64_t C2 = 0x4cf5ad432745937fULL;
 
-  uint64_t H1 = Seed;
-  uint64_t H2 = Seed;
-
-  const uint64_t C1 = 0x87c37b91114253d5ULL;
-  const uint64_t C2 = 0x4cf5ad432745937fULL;
-
+/// Mixes \p NumBlocks whole 16-byte blocks into the running state.
+static inline void mixBlocks(uint64_t &H1, uint64_t &H2, const uint8_t *Bytes,
+                             size_t NumBlocks) {
   for (size_t I = 0; I < NumBlocks; ++I) {
     uint64_t K1 = getBlock64(Bytes, I * 2 + 0);
     uint64_t K2 = getBlock64(Bytes, I * 2 + 1);
@@ -61,8 +57,12 @@ Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
     H2 += H1;
     H2 = H2 * 5 + 0x38495ab5;
   }
+}
 
-  const uint8_t *Tail = Bytes + NumBlocks * 16;
+/// Folds the final partial block (the last \p Len % 16 bytes, at \p Tail)
+/// and the total length into the state and returns the digest.
+static inline Murmur3Digest finalize(uint64_t H1, uint64_t H2,
+                                     const uint8_t *Tail, uint64_t Len) {
   uint64_t K1 = 0;
   uint64_t K2 = 0;
 
@@ -134,4 +134,38 @@ Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
   H2 += H1;
 
   return {H1, H2};
+}
+
+Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
+                                       uint64_t Seed) {
+  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
+  const size_t NumBlocks = Len / 16;
+  uint64_t H1 = Seed;
+  uint64_t H2 = Seed;
+  mixBlocks(H1, H2, Bytes, NumBlocks);
+  return finalize(H1, H2, Bytes + NumBlocks * 16, Len);
+}
+
+void Murmur3Stream::update(const void *Data, size_t Len) {
+  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
+  Total += Len;
+  if (NumPending > 0) {
+    size_t Take = std::min(sizeof(Pending) - NumPending, Len);
+    std::memcpy(Pending + NumPending, Bytes, Take);
+    NumPending += Take;
+    Bytes += Take;
+    Len -= Take;
+    if (NumPending < sizeof(Pending))
+      return;
+    mixBlocks(H1, H2, Pending, 1);
+    NumPending = 0;
+  }
+  const size_t NumBlocks = Len / 16;
+  mixBlocks(H1, H2, Bytes, NumBlocks);
+  NumPending = Len - NumBlocks * 16;
+  std::memcpy(Pending, Bytes + NumBlocks * 16, NumPending);
+}
+
+Murmur3Digest Murmur3Stream::digest() const {
+  return finalize(H1, H2, Pending, Total);
 }

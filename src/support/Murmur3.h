@@ -37,6 +37,25 @@ struct Murmur3Digest {
 Murmur3Digest murmurHash3x64_128(const void *Data, size_t Len,
                                  uint64_t Seed = 0);
 
+/// Incremental MurmurHash3 x64-128: feeding a byte string through update()
+/// in any split yields exactly the digest murmurHash3x64_128 computes over
+/// the whole string, without ever holding more than one 16-byte block.
+class Murmur3Stream {
+public:
+  explicit Murmur3Stream(uint64_t Seed = 0) : H1(Seed), H2(Seed) {}
+
+  void update(const void *Data, size_t Len);
+  /// Digest of everything fed so far; the stream may keep growing after.
+  Murmur3Digest digest() const;
+
+private:
+  uint64_t H1;
+  uint64_t H2;
+  uint64_t Total = 0;
+  uint8_t Pending[16] = {};
+  size_t NumPending = 0;
+};
+
 /// Convenience wrapper returning the low 64 bits of the 128-bit digest,
 /// which is the object-identity width used throughout Sec. 5.
 inline uint64_t murmurHash3(const void *Data, size_t Len, uint64_t Seed = 0) {

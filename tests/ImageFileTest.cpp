@@ -4,6 +4,10 @@
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/runtime/ExecEngine.h"
+#include "src/support/ByteBuffer.h"
+#include "src/support/Murmur3.h"
+#include "src/support/SplitMix64.h"
+#include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -63,7 +67,124 @@ struct Fixture {
   }
 };
 
+/// The fingerprint as first defined: the whole program encoded into one
+/// ByteBuffer, then hashed in one shot. The streamed programFingerprint
+/// must keep returning exactly this value.
+uint64_t oneShotFingerprint(const Program &P) {
+  ByteBuffer B;
+  for (size_t C = 0; C < P.numClasses(); ++C) {
+    const ClassDef &Def = P.classDef(ClassId(C));
+    B.appendSizedString(Def.Name);
+    B.appendU32(uint32_t(Def.Super + 1));
+    for (const Field &F : Def.InstanceFields) {
+      B.appendSizedString(F.Name);
+      B.appendSizedString(P.typeName(F.Type));
+    }
+    for (const Field &F : Def.StaticFields) {
+      B.appendSizedString(F.Name);
+      B.appendSizedString(P.typeName(F.Type));
+    }
+  }
+  for (size_t M = 0; M < P.numMethods(); ++M) {
+    const Method &Meth = P.method(MethodId(M));
+    B.appendSizedString(Meth.Sig);
+    B.appendU32(uint32_t(Meth.Blocks.size()));
+    for (const BasicBlock &BB : Meth.Blocks) {
+      B.appendU32(uint32_t(BB.Instrs.size()));
+      for (const Instr &In : BB.Instrs) {
+        B.appendU8(uint8_t(In.Op));
+        B.appendU32(uint32_t(In.Dst) | (uint32_t(In.A) << 16));
+        B.appendU32(uint32_t(In.B) | (uint32_t(In.C) << 16));
+        B.appendI64(In.IImm);
+        B.appendF64(In.FImm);
+        B.appendU32(uint32_t(In.Aux));
+        B.appendU32(uint32_t(In.Aux2));
+        B.appendU32(uint32_t(In.Target));
+      }
+    }
+  }
+  for (size_t S = 0; S < P.numStrings(); ++S)
+    B.appendSizedString(P.string(StrId(S)));
+  return murmurHash3(B.bytes());
+}
+
 } // namespace
+
+TEST(ImageFile, StreamedFingerprintMatchesOneShotEncoding) {
+  std::vector<BenchmarkSpec> Specs;
+  for (const std::string &Name : awfyBenchmarkNames())
+    Specs.push_back(awfyBenchmark(Name));
+  for (const std::string &Name : microserviceNames())
+    Specs.push_back(microserviceBenchmark(Name));
+  ASSERT_EQ(Specs.size(), 17u);
+  for (const BenchmarkSpec &Spec : Specs) {
+    std::vector<std::string> Errors;
+    std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
+    ASSERT_TRUE(P) << Spec.Name;
+    ensureClassMetaClass(*P);
+    EXPECT_EQ(programFingerprint(*P), oneShotFingerprint(*P)) << Spec.Name;
+  }
+
+  // A string literal longer than the stream's 32 KiB block buffer bypasses
+  // the buffer; the digest must not notice.
+  std::string Long(100000, 'q');
+  for (size_t I = 0; I < Long.size(); I += 7)
+    Long[I] = char('a' + I % 26);
+  Program P;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(compileSources({"class Main { static int main() { "
+                              "Sys.print(\"" + Long + "\"); return 0; } }"},
+                             P, Errors));
+  bool HasLong = false;
+  for (size_t S = 0; S < P.numStrings(); ++S)
+    HasLong |= P.string(StrId(S)).size() == Long.size();
+  ASSERT_TRUE(HasLong);
+  EXPECT_EQ(programFingerprint(P), oneShotFingerprint(P));
+}
+
+TEST(ImageFile, BuildAndLoadRecordTheFingerprint) {
+  Fixture F;
+  const uint64_t Fp = programFingerprint(F.P);
+  EXPECT_EQ(F.Img.ProgramFingerprint, Fp);
+  std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
+  NativeImage Loaded;
+  std::string Error;
+  ASSERT_TRUE(deserializeImage(F.P, Bytes, Loaded, Error)) << Error;
+  EXPECT_EQ(Loaded.ProgramFingerprint, Fp);
+}
+
+TEST(ImageFile, ClassAddedAfterBuildFailsTheLoad) {
+  // The image carries the fingerprint taken at build time; a program that
+  // changed since no longer matches it.
+  Fixture F;
+  F.P.addClass("AddedAfterBuild");
+  std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
+  NativeImage Loaded;
+  std::string Error;
+  EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded, Error));
+  EXPECT_NE(Error.find("fingerprint"), std::string::npos) << Error;
+}
+
+TEST(ImageFile, ReserializingALoadedImageIsByteIdentical) {
+  Fixture F;
+  BuildConfig PCfg;
+  PCfg.Seed = 21;
+  CollectedProfiles Prof = collectProfiles(F.P, PCfg, RunConfig());
+  BuildConfig SplitCfg;
+  SplitCfg.Seed = 21;
+  SplitCfg.Split = SplitMode::HotCold;
+  SplitCfg.BlockProf = &Prof.Blocks;
+  SplitCfg.Image.HugePages = 1;
+  NativeImage Split = buildNativeImage(F.P, SplitCfg);
+  ASSERT_TRUE(Split.Split.active());
+  for (const NativeImage *Img : {&F.Img, &Split}) {
+    std::vector<uint8_t> Bytes = serializeImage(F.P, *Img);
+    NativeImage Loaded;
+    std::string Error;
+    ASSERT_TRUE(deserializeImage(F.P, Bytes, Loaded, Error)) << Error;
+    EXPECT_EQ(serializeImage(F.P, Loaded), Bytes);
+  }
+}
 
 TEST(ImageFile, FingerprintIsStableAndSensitive) {
   Fixture F;
@@ -271,4 +392,37 @@ TEST(ImageFile, RejectsGarbageAndTruncation) {
   Bytes.resize(Bytes.size() / 2); // truncate
   NativeImage Loaded2;
   EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded2, Error));
+}
+
+TEST(ImageFile, CorruptCountIsRejectedBeforeAllocating) {
+  // The first reachability vector's element count sits right after the
+  // header (magic, fingerprint, instrumented flag, seed). A count larger
+  // than the rest of the file is rejected instead of sized from.
+  Fixture F;
+  std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
+  const size_t CountAt = 4 + 8 + 1 + 8;
+  for (size_t I = 0; I < 4; ++I)
+    Bytes[CountAt + I] = 0xFF;
+  NativeImage Loaded;
+  std::string Error;
+  EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded, Error));
+  EXPECT_NE(Error.find("unexpected end"), std::string::npos) << Error;
+}
+
+TEST(ImageFile, MutatedImagesLoadOrFailWithAnError) {
+  Fixture F;
+  const std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
+  const size_t Header = 4 + 8; // keep magic and fingerprint intact
+  SplitMix64 Rng(7);
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    std::vector<uint8_t> M = Bytes;
+    for (int K = 0; K < 3; ++K)
+      M[Header + Rng.nextBelow(M.size() - Header)] = uint8_t(Rng.next());
+    if (Trial % 10 == 0)
+      M.resize(Header + Rng.nextBelow(M.size() - Header));
+    NativeImage Loaded;
+    std::string Error;
+    if (!deserializeImage(F.P, M, Loaded, Error))
+      EXPECT_FALSE(Error.empty()) << "trial " << Trial;
+  }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace nimg;
@@ -49,6 +50,29 @@ TEST(Murmur3, MultiBlockInput) {
 TEST(Murmur3, DigestHiLoIndependent) {
   Murmur3Digest D = murmurHash3x64_128("data", 4, 7);
   EXPECT_NE(D.Lo, D.Hi);
+}
+
+TEST(Murmur3, StreamInRandomSplitsMatchesOneShot) {
+  SplitMix64 Rng(42);
+  for (size_t Len : {size_t(0), size_t(1), size_t(15), size_t(16),
+                     size_t(17), size_t(31), size_t(100), size_t(4099)}) {
+    std::string Data(Len, '\0');
+    for (char &C : Data)
+      C = char(Rng.next());
+    for (uint64_t Seed : {uint64_t(0), uint64_t(7)}) {
+      const Murmur3Digest Want = murmurHash3x64_128(Data.data(), Len, Seed);
+      for (int Trial = 0; Trial < 20; ++Trial) {
+        Murmur3Stream S(Seed);
+        size_t Pos = 0;
+        while (Pos < Len) {
+          size_t Step = std::min<size_t>(Len - Pos, Rng.nextBelow(40));
+          S.update(Data.data() + Pos, Step);
+          Pos += Step;
+        }
+        EXPECT_EQ(S.digest(), Want) << "len " << Len << " seed " << Seed;
+      }
+    }
+  }
 }
 
 // --- ByteBuffer ---------------------------------------------------------------
