@@ -1,4 +1,4 @@
-//===- BenchUtil.h - Shared helpers for the figure harnesses ----*- C++ -*-===//
+//===- BenchUtil.h - Shared helpers for the bench programs ------*- C++ -*-===//
 //
 // Part of the nimage project, a reproduction of "Improving Native-Image
 // Startup Performance" (CGO 2025).
@@ -6,10 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Table printing and evaluation drivers shared by the per-figure bench
-/// binaries. Each binary regenerates one table/figure of the paper's
-/// evaluation (Sec. 7); set NIMAGE_EVAL_SEEDS to trade precision for wall
-/// time (default 3 builds per strategy; the paper uses 10).
+/// Helpers shared by the bench programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +15,7 @@
 
 #include "src/core/Evaluation.h"
 
-#include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
 
 namespace nimg {
 namespace benchutil {
@@ -34,85 +28,6 @@ inline bool smokeMode(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--smoke") == 0)
       return true;
   return false;
-}
-
-/// Shrinks a suite run to smoke size: the first \p Keep workloads, one
-/// seed per strategy.
-inline void applySmoke(bool Smoke, std::vector<std::string> &Names,
-                       EvalOptions &Opts, size_t Keep = 2) {
-  if (!Smoke)
-    return;
-  if (Names.size() > Keep)
-    Names.resize(Keep);
-  Opts.Seeds = 1;
-}
-
-inline const std::vector<std::string> &strategyNames() {
-  static const std::vector<std::string> Names = {
-      "cu",        "method",      "cluster",      "incremental id",
-      "structural hash", "heap path", "cu+heap path"};
-  return Names;
-}
-
-/// The figure's factor convention: code strategies are scored on .text
-/// faults, heap strategies on .svm_heap faults, the combined strategy on
-/// both (Sec. 7.1).
-inline double faultFactorOf(const VariantEval &V) {
-  if (V.Name == "cu" || V.Name == "method" || V.Name == "cluster")
-    return V.TextFaultFactor;
-  if (V.Name == "cu+heap path")
-    return V.TotalFaultFactor;
-  return V.HeapFaultFactor;
-}
-
-inline EvalOptions defaultOptions() {
-  EvalOptions Opts;
-  Opts.Seeds = evalSeedsFromEnv(3);
-  return Opts;
-}
-
-inline std::vector<BenchmarkEval>
-evaluateSuite(const std::vector<std::string> &Names, bool Microservices,
-              const EvalOptions &Opts) {
-  std::vector<BenchmarkEval> Out;
-  for (const std::string &Name : Names) {
-    BenchmarkSpec Spec =
-        Microservices ? microserviceBenchmark(Name) : awfyBenchmark(Name);
-    std::fprintf(stderr, "  evaluating %s...\n", Name.c_str());
-    Out.push_back(evaluateBenchmark(Spec, Opts));
-  }
-  return Out;
-}
-
-inline void printHeader(const char *Title, const char *Metric, int Seeds) {
-  std::printf("%s\n", Title);
-  std::printf("metric: %s; %d image builds per strategy; factors are "
-              "M_baseline / M_optimized (higher is better)\n\n",
-              Metric, Seeds);
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
-}
-
-template <typename FactorFn>
-inline void printFactorTable(const std::vector<BenchmarkEval> &Evals,
-                             FactorFn Factor) {
-  std::vector<std::vector<double>> PerStrategy(strategyNames().size());
-  for (const BenchmarkEval &E : Evals) {
-    std::printf("%-12s", E.Benchmark.c_str());
-    for (size_t S = 0; S < strategyNames().size(); ++S) {
-      const VariantEval *V = E.variant(strategyNames()[S]);
-      double F = V ? Factor(*V) : 1.0;
-      PerStrategy[S].push_back(F);
-      std::printf(" %15.2f", F);
-    }
-    std::printf("\n");
-  }
-  std::printf("%-12s", "geomean");
-  for (size_t S = 0; S < strategyNames().size(); ++S)
-    std::printf(" %15.2f", geomean(PerStrategy[S]));
-  std::printf("\n");
 }
 
 } // namespace benchutil

@@ -15,12 +15,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "BenchUtil.h"
 #include "src/image/ImageFile.h"
-#include "src/workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
@@ -34,15 +32,11 @@ struct BenchResult {
   ClusterStats Stats;
 };
 
-/// One build+run with the given code strategy/profile; returns .text
-/// faults of a cold first run.
-uint64_t textFaultsOf(Program &P, CodeStrategy Code, const CodeProfile *Prof,
-                      const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = Code;
-  Cfg.CodeProf = Prof;
-  NativeImage Img = buildNativeImage(P, Cfg);
+/// One build+run of \p Code ordering over \p Prof's profiles; returns
+/// .text faults of a cold first run.
+uint64_t textFaultsOf(Program &P, CodeStrategy Code,
+                      const CollectedProfiles &Prof, const RunConfig &Run) {
+  NativeImage Img = buildNativeImage(P, layoutConfig({.Code = Code}, Prof, 1));
   if (Img.Built.Failed)
     return 0;
   return runImage(Img, Run).TextFaults;
@@ -53,7 +47,7 @@ uint64_t textFaultsOf(Program &P, CodeStrategy Code, const CodeProfile *Prof,
 int main(int Argc, char **Argv) {
   // --smoke: two budgets, two benchmarks — harness + JSON sanity for the
   // bench-smoke ctest label.
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
 
   //===--------------------------------------------------------------------===//
@@ -89,10 +83,12 @@ int main(int Argc, char **Argv) {
   std::printf("%12s %8s %8s %10s %10s %12s\n", "budgetBytes", "merges",
               "clusters", "rejected", "textFaults", "vs cu");
 
-  CodeProfile CuProf = analyzeCuOrder(*SweepP, CuCap);
-  CuProf.Header.Fingerprint = Fp;
+  // Only the cu and cluster profiles of this bundle are read.
+  CollectedProfiles SweepProf;
+  SweepProf.Cu = analyzeCuOrder(*SweepP, CuCap);
+  SweepProf.Cu.Header.Fingerprint = Fp;
   uint64_t CuFaults =
-      textFaultsOf(*SweepP, CodeStrategy::CuOrder, &CuProf, Run);
+      textFaultsOf(*SweepP, CodeStrategy::CuOrder, SweepProf, Run);
 
   struct SweepPoint {
     uint32_t Budget;
@@ -107,11 +103,11 @@ int main(int Argc, char **Argv) {
     ClusterOptions Opts;
     Opts.PageBudgetBytes = Budget;
     ClusterStats Stats;
-    CodeProfile Prof = analyzeClusterOrder(*SweepP, CuCap, Instr.Code, Opts,
-                                           nullptr, nullptr, &Stats);
-    Prof.Header.Fingerprint = Fp;
+    SweepProf.Cluster = analyzeClusterOrder(*SweepP, CuCap, Instr.Code, Opts,
+                                            nullptr, nullptr, &Stats);
+    SweepProf.Cluster.Header.Fingerprint = Fp;
     uint64_t Faults =
-        textFaultsOf(*SweepP, CodeStrategy::Cluster, &Prof, Run);
+        textFaultsOf(*SweepP, CodeStrategy::Cluster, SweepProf, Run);
     Sweep.push_back({Budget, Stats, Faults});
     std::printf("%12u %8zu %8zu %10zu %10llu %12.2f\n", Budget, Stats.Merges,
                 Stats.Clusters, Stats.BudgetRejections,
@@ -146,10 +142,9 @@ int main(int Argc, char **Argv) {
     BenchResult R;
     R.Name = Name;
     R.Stats = Prof.ClusterLayoutStats;
-    R.BaselineFaults = textFaultsOf(*P, CodeStrategy::None, nullptr, Run);
-    R.CuFaults = textFaultsOf(*P, CodeStrategy::CuOrder, &Prof.Cu, Run);
-    R.ClusterFaults =
-        textFaultsOf(*P, CodeStrategy::Cluster, &Prof.Cluster, Run);
+    R.BaselineFaults = textFaultsOf(*P, CodeStrategy::None, Prof, Run);
+    R.CuFaults = textFaultsOf(*P, CodeStrategy::CuOrder, Prof, Run);
+    R.ClusterFaults = textFaultsOf(*P, CodeStrategy::Cluster, Prof, Run);
     if (R.ClusterFaults <= R.CuFaults)
       ++ClusterNoWorse;
     std::printf("%-12s %10llu %10llu %10llu %10s\n", Name.c_str(),

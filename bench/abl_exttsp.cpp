@@ -19,11 +19,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
-#include "src/workloads/Workloads.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
@@ -35,18 +33,7 @@ struct Measured {
   ExtTspSummary Tsp;
 };
 
-Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
-                 BlockOrderMode Blocks, const CollectedProfiles &Prof,
-                 const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = Code;
-  Cfg.CodeProf = CodeProf;
-  Cfg.Split = SplitMode::HotCold;
-  Cfg.BlockProf = &Prof.Blocks;
-  Cfg.SplitOpts.Blocks = Blocks;
-  if (Blocks == BlockOrderMode::ExtTsp)
-    Cfg.EdgeProf = &Prof.Edges;
+Measured measure(Program &P, const BuildConfig &Cfg, const RunConfig &Run) {
   NativeImage Img = buildNativeImage(P, Cfg);
   Measured M;
   if (Img.Built.Failed)
@@ -58,24 +45,10 @@ Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
   return M;
 }
 
-const char *strategyName(CodeStrategy S) {
-  switch (S) {
-  case CodeStrategy::CuOrder:
-    return "cu";
-  case CodeStrategy::MethodOrder:
-    return "method";
-  case CodeStrategy::Cluster:
-    return "cluster";
-  case CodeStrategy::None:
-    break;
-  }
-  return "none";
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
   // Same geometry as abl_split: demand-fault every page so the layout
   // effect isn't aliased away by readahead batching.
@@ -120,16 +93,10 @@ int main(int Argc, char **Argv) {
     Row R;
     R.Name = Name;
     for (size_t S = 0; S < 3; ++S) {
-      const CodeProfile *CodeProf = Strategies[S] == CodeStrategy::CuOrder
-                                        ? &Prof.Cu
-                                        : Strategies[S] ==
-                                                  CodeStrategy::MethodOrder
-                                              ? &Prof.Method
-                                              : &Prof.Cluster;
-      R.None[S] = measure(*P, Strategies[S], CodeProf, BlockOrderMode::None,
-                          Prof, Run);
-      R.Tsp[S] = measure(*P, Strategies[S], CodeProf, BlockOrderMode::ExtTsp,
-                         Prof, Run);
+      LayoutVariant V{.Code = Strategies[S], .Split = SplitMode::HotCold};
+      R.None[S] = measure(*P, layoutConfig(V, Prof, 1), Run);
+      V.Blocks = BlockOrderMode::ExtTsp;
+      R.Tsp[S] = measure(*P, layoutConfig(V, Prof, 1), Run);
       if (R.Tsp[S].Tsp.ScoreAfter > R.Tsp[S].Tsp.ScoreBefore)
         R.UpliftPositive = true;
       // Fault neutrality: method entry touches the whole hot fragment, so
@@ -141,7 +108,7 @@ int main(int Argc, char **Argv) {
         FaultsOk = false;
         std::fprintf(stderr,
                      "FAIL: %s/%s exttsp text faults %llu exceed none %llu\n",
-                     Name.c_str(), strategyName(Strategies[S]),
+                     Name.c_str(), codeStrategyName(Strategies[S]),
                      (unsigned long long)R.Tsp[S].TextFaults,
                      (unsigned long long)R.None[S].TextFaults);
       }
@@ -163,7 +130,7 @@ int main(int Argc, char **Argv) {
               UpliftCount, Rows.size());
   for (size_t S = 0; S < 3; ++S)
     std::printf("  %-8s faults no worse than --blocks none on %zu of %zu\n",
-                strategyName(Strategies[S]), FaultsNoWorse[S], Rows.size());
+                codeStrategyName(Strategies[S]), FaultsNoWorse[S], Rows.size());
 
   benchjson::writeBenchJson(
       "BENCH_exttsp.json", "abl_exttsp", [&](obs::JsonWriter &W) {
@@ -175,7 +142,7 @@ int main(int Argc, char **Argv) {
           W.member("name", R.Name);
           W.member("uplift_positive", R.UpliftPositive);
           for (size_t S = 0; S < 3; ++S) {
-            std::string Prefix = strategyName(Strategies[S]);
+            std::string Prefix = codeStrategyName(Strategies[S]);
             const ExtTspSummary &T = R.Tsp[S].Tsp;
             W.member(Prefix + "_text_faults", R.None[S].TextFaults);
             W.member(Prefix + "_exttsp_text_faults", R.Tsp[S].TextFaults);
@@ -193,7 +160,7 @@ int main(int Argc, char **Argv) {
         }
         W.endArray();
         for (size_t S = 0; S < 3; ++S)
-          W.member(std::string(strategyName(Strategies[S])) +
+          W.member(std::string(codeStrategyName(Strategies[S])) +
                        "_faults_le_none_count",
                    uint64_t(FaultsNoWorse[S]));
         W.member("uplift_positive_count", uint64_t(UpliftCount));

@@ -17,29 +17,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "BenchUtil.h"
 #include "src/image/ImageFile.h"
-#include "src/workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
 namespace {
 
-struct StratSpec {
-  const char *Key;
-  CodeStrategy Code;
-  bool Split;
-  bool ExtTsp;
-  bool IsCluster; ///< Participates in the strict-win gate.
-};
-
-const StratSpec kStrategies[] = {
-    {"cu", CodeStrategy::CuOrder, false, false, false},
-    {"cluster", CodeStrategy::Cluster, false, false, true},
-    {"cluster_split_exttsp", CodeStrategy::Cluster, true, true, true},
+/// The cluster layouts participate in the strict-win gate.
+const NamedLayout kStrategies[] = {
+    {"cu", {.Code = CodeStrategy::CuOrder}},
+    {"cluster", {.Code = CodeStrategy::Cluster}},
+    {"cluster_split_exttsp",
+     {.Code = CodeStrategy::Cluster,
+      .Split = SplitMode::HotCold,
+      .Blocks = BlockOrderMode::ExtTsp}},
 };
 
 struct BudgetPoint {
@@ -62,31 +56,12 @@ struct StratResult {
   bool StrictTimeWin = false;
 };
 
-BuildConfig makeCfg(const StratSpec &S, const CollectedProfiles &Prof,
-                    uint32_t HugePages) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = S.Code;
-  Cfg.CodeProf =
-      S.Code == CodeStrategy::CuOrder ? &Prof.Cu : &Prof.Cluster;
-  if (S.Split) {
-    Cfg.Split = SplitMode::HotCold;
-    Cfg.BlockProf = &Prof.Blocks;
-    if (S.ExtTsp) {
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.EdgeProf = &Prof.Edges;
-    }
-  }
-  Cfg.Image.HugePages = HugePages;
-  return Cfg;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   // --smoke: two benchmarks, budgets {0, 1} — harness + JSON + invariant
   // sanity for the bench-smoke ctest label.
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
 
   std::vector<uint32_t> Budgets = {1u, 2u, 4u};
@@ -123,11 +98,16 @@ int main(int Argc, char **Argv) {
 
     BenchRow Row;
     Row.Name = Name;
-    for (const StratSpec &S : kStrategies) {
+    for (const NamedLayout &S : kStrategies) {
       StratResult R;
-      R.Key = S.Key;
+      R.Key = S.Name;
+      auto makeCfg = [&](uint32_t HugePages) {
+        LayoutVariant V = S.Layout;
+        V.HugePages = HugePages;
+        return layoutConfig(V, Prof, 1);
+      };
 
-      NativeImage Base = buildNativeImage(*P, makeCfg(S, Prof, 0));
+      NativeImage Base = buildNativeImage(*P, makeCfg(0));
       if (Base.Built.Failed)
         continue;
       RunStats BaseStats = runImage(Base, Run);
@@ -136,7 +116,7 @@ int main(int Argc, char **Argv) {
 
       // Budget-0 identity: an explicit zero budget must be byte-identical
       // to the baseline — same image bytes, same majors, same TimeNs.
-      NativeImage Zero = buildNativeImage(*P, makeCfg(S, Prof, 0));
+      NativeImage Zero = buildNativeImage(*P, makeCfg(0));
       RunStats ZeroStats = runImage(Zero, Run);
       R.ZeroIdentity = serializeImage(*P, Zero) == serializeImage(*P, Base) &&
                        ZeroStats.TextFaults == BaseStats.TextFaults &&
@@ -147,7 +127,7 @@ int main(int Argc, char **Argv) {
 
       R.BestTimeNs = BaseStats.TimeNs;
       for (uint32_t B : Budgets) {
-        NativeImage Img = buildNativeImage(*P, makeCfg(S, Prof, B));
+        NativeImage Img = buildNativeImage(*P, makeCfg(B));
         RunStats Stats = runImage(Img, Run);
         BudgetPoint Pt = {B,
                           Img.Layout.HugePages,
@@ -165,13 +145,13 @@ int main(int Argc, char **Argv) {
       }
       AllMajorsOk = AllMajorsOk && R.MajorsNeverIncrease;
       R.StrictTimeWin = R.BestTimeNs < R.Zero.TimeNs;
-      if (S.IsCluster) {
+      if (S.Layout.Code == CodeStrategy::Cluster) {
         ++ClusterEntries;
         if (R.StrictTimeWin)
           ++ClusterStrictWins;
       }
-      std::printf("%-12s %-22s %12.0f %12.0f %8u %10s\n", Name.c_str(), S.Key,
-                  R.Zero.TimeNs, R.BestTimeNs, R.BestBudget,
+      std::printf("%-12s %-22s %12.0f %12.0f %8u %10s\n", Name.c_str(),
+                  S.Name.c_str(), R.Zero.TimeNs, R.BestTimeNs, R.BestBudget,
                   R.StrictTimeWin ? "yes" : "no");
       Row.Strats.push_back(std::move(R));
     }

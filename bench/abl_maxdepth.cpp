@@ -12,19 +12,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "src/core/Builder.h"
-#include "src/workloads/Workloads.h"
+#include "BenchUtil.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <unordered_map>
 
 using namespace nimg;
 
 int main(int Argc, char **Argv) {
   // --smoke: sweep depths 0..2 only (bench-smoke ctest label).
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   BenchmarkSpec Spec = awfyBenchmark("Bounce");
   std::vector<std::string> Errors;
   std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
@@ -85,10 +83,9 @@ int main(int Argc, char **Argv) {
     }
     double MatchRate = Stored == 0 ? 0.0 : double(Agree) / double(Stored);
 
-    BuildConfig Ordered = Cfg;
-    Ordered.UseHeapOrder = true;
-    Ordered.HeapOrder = HeapStrategy::StructuralHash;
-    Ordered.HeapProf = &Prof.StructuralHash;
+    BuildConfig Ordered =
+        layoutConfig({.Heap = HeapStrategy::StructuralHash}, Prof, Cfg.Seed);
+    Ordered.StructuralMaxDepth = Depth;
     NativeImage OrderedImg = buildNativeImage(*P, Ordered);
     RunStats Base = runImage(Img, Run);
     RunStats Opt = runImage(OrderedImg, Run);

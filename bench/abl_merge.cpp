@@ -22,12 +22,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "BenchUtil.h"
 #include "src/support/FaultInjection.h"
-#include "src/workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
@@ -70,14 +68,7 @@ struct Measured {
   size_t Quarantined = 0;
 };
 
-Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
-                 const std::vector<MemberProfile> *Members,
-                 const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = Code;
-  Cfg.CodeProf = CodeProf;
-  Cfg.CodeMembers = Members;
+Measured measure(Program &P, const BuildConfig &Cfg, const RunConfig &Run) {
   NativeImage Img = buildNativeImage(P, Cfg);
   Measured M;
   if (Img.Built.Failed)
@@ -93,7 +84,7 @@ Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
   // Demand-fault every page (as in abl_split): readahead batching would
   // alias small layout differences to zero and hide real regressions.
@@ -136,10 +127,12 @@ int main(int Argc, char **Argv) {
 
     Row R;
     R.Name = Name;
-    R.BaselineFaults =
-        measure(*P, CodeStrategy::None, nullptr, nullptr, Run).TextFaults;
+    const LayoutVariant Merged{.Code = CodeStrategy::CuOrder,
+                               .MergedMembers = true};
+    R.BaselineFaults = measure(*P, layoutConfig({}, Prof, 1), Run).TextFaults;
     R.SingleFaults =
-        measure(*P, CodeStrategy::CuOrder, &Prof.Cu, nullptr, Run).TextFaults;
+        measure(*P, layoutConfig({.Code = CodeStrategy::CuOrder}, Prof, 1), Run)
+            .TextFaults;
 
     std::printf("%-12s %9llu %9llu", Name.c_str(),
                 (unsigned long long)R.BaselineFaults,
@@ -147,8 +140,7 @@ int main(int Argc, char **Argv) {
     for (size_t S = 0; S < 5; ++S) {
       std::vector<MemberProfile> Members =
           memberSet(Prof.Cu, kSweep[S], Seed + S);
-      R.Sweep[S] =
-          measure(*P, CodeStrategy::CuOrder, nullptr, &Members, Run);
+      R.Sweep[S] = measure(*P, layoutConfig(Merged, Prof, 1, &Members), Run);
       std::printf(" %5llu", (unsigned long long)R.Sweep[S].TextFaults);
     }
     {
@@ -162,7 +154,7 @@ int main(int Argc, char **Argv) {
         Members.push_back(
             loadMemberProfile("inst" + std::to_string(I), Text));
       }
-      R.AllDead = measure(*P, CodeStrategy::CuOrder, nullptr, &Members, Run);
+      R.AllDead = measure(*P, layoutConfig(Merged, Prof, 1, &Members), Run);
       std::printf(" %6llu", (unsigned long long)R.AllDead.TextFaults);
     }
     std::printf("\n");

@@ -11,17 +11,15 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "src/core/Builder.h"
-#include "src/workloads/Workloads.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
 int main(int Argc, char **Argv) {
   // --smoke: two readahead windows only (bench-smoke ctest label).
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   BenchmarkSpec Spec = awfyBenchmark("Havlak");
   std::vector<std::string> Errors;
   std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
@@ -33,17 +31,11 @@ int main(int Argc, char **Argv) {
   InstrCfg.Seed = 1001;
   CollectedProfiles Prof = collectProfiles(*P, InstrCfg, Run);
 
-  BuildConfig Base;
-  Base.Seed = 1;
-  NativeImage Baseline = buildNativeImage(*P, Base);
-
-  BuildConfig Comb = Base;
-  Comb.CodeOrder = CodeStrategy::CuOrder;
-  Comb.CodeProf = &Prof.Cu;
-  Comb.UseHeapOrder = true;
-  Comb.HeapOrder = HeapStrategy::HeapPath;
-  Comb.HeapProf = &Prof.HeapPath;
-  NativeImage Combined = buildNativeImage(*P, Comb);
+  NativeImage Baseline = buildNativeImage(*P, layoutConfig({}, Prof, 1));
+  NativeImage Combined = buildNativeImage(
+      *P, layoutConfig({.Code = CodeStrategy::CuOrder,
+                        .Heap = HeapStrategy::HeapPath},
+                       Prof, 1));
 
   std::printf("Ablation — readahead window sweep (AWFY Havlak, "
               "cu+heap path)\n");

@@ -27,13 +27,10 @@
 
 #include "BenchJson.h"
 #include "BenchUtil.h"
-#include "src/core/Builder.h"
 #include "src/image/ImageFile.h"
-#include "src/workloads/Workloads.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 using namespace nimg;
@@ -94,16 +91,8 @@ double modelTime(const RunStats &S, bool Micro) {
   return Micro && S.Responded ? S.TimeToFirstResponseNs : S.TimeNs;
 }
 
-uint64_t measureFaults(Program &P, CodeStrategy Code,
-                       const CodeProfile *CodeProf,
-                       const std::vector<MemberProfile> *Members,
-                       const RunConfig &Run, MergeOutcome *OutcomeOut,
-                       size_t *QuarantinedOut) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = Code;
-  Cfg.CodeProf = CodeProf;
-  Cfg.CodeMembers = Members;
+uint64_t measureFaults(Program &P, const BuildConfig &Cfg, const RunConfig &Run,
+                       MergeOutcome *OutcomeOut, size_t *QuarantinedOut) {
   NativeImage Img = buildNativeImage(P, Cfg);
   if (OutcomeOut)
     *OutcomeOut = Img.ProfileDiag.Merge.Outcome;
@@ -215,18 +204,19 @@ bool evalWorkload(const std::string &Name, bool Micro, const RunConfig &RunBase,
   BuildConfig ProfCfg;
   ProfCfg.Seed = 1001;
   CollectedProfiles Prof = collectProfiles(*P, ProfCfg, RunFault);
-  const CodeProfile *InstrProfs[3] = {&Prof.Cu, &Prof.Method, &Prof.Cluster};
 
   R.HasFaults = true;
   for (size_t L = 0; L < 3; ++L) {
     StrategyFaults &F = R.Faults[L];
-    F.Instrumented = measureFaults(*P, kLegs[L].Strategy, InstrProfs[L],
-                                   nullptr, RunFault, nullptr, nullptr);
+    LayoutVariant V{.Code = kLegs[L].Strategy};
+    F.Instrumented = measureFaults(*P, layoutConfig(V, Prof, 1), RunFault,
+                                   nullptr, nullptr);
     const std::vector<MemberProfile> *Members =
         kLegs[L].Strategy == CodeStrategy::MethodOrder ? &MethodMembers
                                                        : &CuMembers;
-    F.Sampled = measureFaults(*P, kLegs[L].Strategy, nullptr, Members,
-                              RunFault, &F.Outcome, &F.Quarantined);
+    V.MergedMembers = true;
+    F.Sampled = measureFaults(*P, layoutConfig(V, Prof, 1, Members), RunFault,
+                              &F.Outcome, &F.Quarantined);
     F.Within = double(F.Sampled) <= kFaultSlack * double(F.Instrumented);
   }
   return true;
@@ -235,7 +225,7 @@ bool evalWorkload(const std::string &Name, bool Micro, const RunConfig &RunBase,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
 
   RunConfig RunBase; // capture-overhead runs: default paging
   RunConfig RunFault;

@@ -18,11 +18,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
-#include "src/workloads/Workloads.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
@@ -46,15 +44,7 @@ uint64_t touchedPages(const std::vector<PageState> &Pages) {
   return N;
 }
 
-Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
-                 SplitMode Split, const BlockProfile *Blocks,
-                 const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = Code;
-  Cfg.CodeProf = CodeProf;
-  Cfg.Split = Split;
-  Cfg.BlockProf = Split == SplitMode::None ? nullptr : Blocks;
+Measured measure(Program &P, const BuildConfig &Cfg, const RunConfig &Run) {
   NativeImage Img = buildNativeImage(P, Cfg);
   Measured M;
   if (Img.Built.Failed)
@@ -70,24 +60,10 @@ Measured measure(Program &P, CodeStrategy Code, const CodeProfile *CodeProf,
   return M;
 }
 
-const char *strategyName(CodeStrategy S) {
-  switch (S) {
-  case CodeStrategy::CuOrder:
-    return "cu";
-  case CodeStrategy::MethodOrder:
-    return "method";
-  case CodeStrategy::Cluster:
-    return "cluster";
-  case CodeStrategy::None:
-    break;
-  }
-  return "none";
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
   // Readahead batches 4 pages per fault, which aliases sub-cluster layout
   // savings to zero. The ablation isolates the layout effect: every page
@@ -117,7 +93,7 @@ int main(int Argc, char **Argv) {
               "(cold cache)\n");
   std::printf("%-12s", "benchmark");
   for (CodeStrategy S : Strategies)
-    std::printf(" %9s %9s %5s", strategyName(S), "+split", "cold");
+    std::printf(" %9s %9s %5s", codeStrategyName(S), "+split", "cold");
   std::printf("\n");
 
   for (const std::string &Name : Names) {
@@ -136,16 +112,10 @@ int main(int Argc, char **Argv) {
     R.Name = Name;
     std::printf("%-12s", Name.c_str());
     for (size_t S = 0; S < 3; ++S) {
-      const CodeProfile *CodeProf = Strategies[S] == CodeStrategy::CuOrder
-                                        ? &Prof.Cu
-                                        : Strategies[S] ==
-                                                  CodeStrategy::MethodOrder
-                                              ? &Prof.Method
-                                              : &Prof.Cluster;
-      R.Unsplit[S] = measure(*P, Strategies[S], CodeProf, SplitMode::None,
-                             nullptr, Run);
-      R.Split[S] = measure(*P, Strategies[S], CodeProf, SplitMode::HotCold,
-                           &Prof.Blocks, Run);
+      LayoutVariant V{.Code = Strategies[S]};
+      R.Unsplit[S] = measure(*P, layoutConfig(V, Prof, 1), Run);
+      V.Split = SplitMode::HotCold;
+      R.Split[S] = measure(*P, layoutConfig(V, Prof, 1), Run);
       if (R.Split[S].TextFaults <= R.Unsplit[S].TextFaults)
         ++NoWorse[S];
       if (R.Split[S].TextFaults < R.Unsplit[S].TextFaults)
@@ -162,7 +132,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr,
                      "FAIL: %s/%s split working set %llu pages exceeds "
                      "unsplit %llu + stub bound\n",
-                     Name.c_str(), strategyName(Strategies[S]),
+                     Name.c_str(), codeStrategyName(Strategies[S]),
                      (unsigned long long)R.Split[S].TouchedPages,
                      (unsigned long long)R.Unsplit[S].TouchedPages);
       }
@@ -178,7 +148,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nfirst-run .text faults, split vs unsplit:\n");
   for (size_t S = 0; S < 3; ++S)
     std::printf("  %-8s reduced on %zu of %zu benchmarks, no worse on %zu\n",
-                strategyName(Strategies[S]), Reduced[S], Rows.size(),
+                codeStrategyName(Strategies[S]), Reduced[S], Rows.size(),
                 NoWorse[S]);
   std::printf("working-set bound: %s\n", WorkingSetOk ? "ok" : "VIOLATED");
 
@@ -191,7 +161,7 @@ int main(int Argc, char **Argv) {
           W.beginObject();
           W.member("name", R.Name);
           for (size_t S = 0; S < 3; ++S) {
-            std::string Prefix = strategyName(Strategies[S]);
+            std::string Prefix = codeStrategyName(Strategies[S]);
             W.member(Prefix + "_text_faults", R.Unsplit[S].TextFaults);
             W.member(Prefix + "_split_text_faults", R.Split[S].TextFaults);
             W.member(Prefix + "_split_cold_faults", R.Split[S].ColdFaults);
@@ -206,10 +176,10 @@ int main(int Argc, char **Argv) {
         }
         W.endArray();
         for (size_t S = 0; S < 3; ++S) {
-          W.member(std::string(strategyName(Strategies[S])) +
+          W.member(std::string(codeStrategyName(Strategies[S])) +
                        "_split_le_unsplit_count",
                    uint64_t(NoWorse[S]));
-          W.member(std::string(strategyName(Strategies[S])) +
+          W.member(std::string(codeStrategyName(Strategies[S])) +
                        "_split_lt_unsplit_count",
                    uint64_t(Reduced[S]));
         }

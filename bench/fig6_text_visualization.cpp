@@ -18,11 +18,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
-#include "src/workloads/Workloads.h"
+#include "BenchUtil.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
@@ -116,7 +114,7 @@ int main(int Argc, char **Argv) {
   // --smoke is accepted for the bench-smoke ctest label; a single
   // workload's three builds are already smoke-sized, so it only tags the
   // JSON artifact.
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   BenchmarkSpec Spec = awfyBenchmark("Bounce");
   std::vector<std::string> Errors;
   std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
@@ -133,28 +131,22 @@ int main(int Argc, char **Argv) {
 
   std::printf("Figure 6 — .text page-fault visualization, AWFY Bounce\n\n");
 
-  BuildConfig Base;
-  Base.Seed = 7;
-  NativeImage Regular = buildNativeImage(*P, Base);
-  RunStats RegularStats = runImage(Regular, Run);
+  // Every panel is built at seed 7; (b)-(d) add layers to cu + heap path.
+  LayoutVariant Optimized{.Code = CodeStrategy::CuOrder,
+                          .Heap = HeapStrategy::HeapPath};
+  RunStats RegularStats =
+      runImage(buildNativeImage(*P, layoutConfig({}, Prof, 7)), Run);
   MapSummary RegularSum = printPageMap("(a) regular binary", RegularStats);
 
-  BuildConfig CuCfg = Base;
-  CuCfg.CodeOrder = CodeStrategy::CuOrder;
-  CuCfg.CodeProf = &Prof.Cu;
-  CuCfg.UseHeapOrder = true;
-  CuCfg.HeapOrder = HeapStrategy::HeapPath;
-  CuCfg.HeapProf = &Prof.HeapPath;
-  NativeImage Optimized = buildNativeImage(*P, CuCfg);
-  RunStats OptimizedStats = runImage(Optimized, Run);
+  RunStats OptimizedStats =
+      runImage(buildNativeImage(*P, layoutConfig(Optimized, Prof, 7)), Run);
   MapSummary OptimizedSum = printPageMap(
       "(b) binary optimized with the cu + heap-path strategies",
       OptimizedStats);
 
-  BuildConfig SplitCfg = CuCfg;
-  SplitCfg.Split = SplitMode::HotCold;
-  SplitCfg.BlockProf = &Prof.Blocks;
-  NativeImage SplitImg = buildNativeImage(*P, SplitCfg);
+  LayoutVariant WithSplit = Optimized;
+  WithSplit.Split = SplitMode::HotCold;
+  NativeImage SplitImg = buildNativeImage(*P, layoutConfig(WithSplit, Prof, 7));
   RunStats SplitStats = runImage(SplitImg, Run);
   MapSummary SplitSum = printPageMap(
       "(c) same, plus --split hotcold (cold tail after '|')", SplitStats,
@@ -163,9 +155,9 @@ int main(int Argc, char **Argv) {
   // Panel (d): the cu-ordered image with a 2 MiB huge page over the hot
   // prefix. The first map cell is the whole huge page: every hot fault it
   // absorbs collapses into one bigger (284.4 us vs 80 us) device read.
-  BuildConfig HugeCfg = CuCfg;
-  HugeCfg.Image.HugePages = 1;
-  NativeImage HugeImg = buildNativeImage(*P, HugeCfg);
+  LayoutVariant WithHuge = Optimized;
+  WithHuge.HugePages = 1;
+  NativeImage HugeImg = buildNativeImage(*P, layoutConfig(WithHuge, Prof, 7));
   RunStats HugeStats = runImage(HugeImg, Run);
   MapSummary HugeSum =
       printPageMap("(d) same as (b), plus --huge-pages 1 ('H' lane below)",

@@ -29,32 +29,26 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "BenchUtil.h"
 #include "src/fleet/FleetSim.h"
-#include "src/workloads/Workloads.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 using namespace nimg;
 
 namespace {
 
-struct VariantDef {
-  const char *Name;
-  CodeStrategy Code;
-  bool Split;
-  bool ExtTsp;
-};
-
-const VariantDef Variants[] = {
-    {"cu", CodeStrategy::CuOrder, false, false},
-    {"method", CodeStrategy::MethodOrder, false, false},
-    {"cluster", CodeStrategy::Cluster, false, false},
-    {"cu_split", CodeStrategy::CuOrder, true, false},
-    {"cluster_split", CodeStrategy::Cluster, true, false},
-    {"cluster_split_exttsp", CodeStrategy::Cluster, true, true},
+const NamedLayout Variants[] = {
+    {"cu", {.Code = CodeStrategy::CuOrder}},
+    {"method", {.Code = CodeStrategy::MethodOrder}},
+    {"cluster", {.Code = CodeStrategy::Cluster}},
+    {"cu_split", {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold}},
+    {"cluster_split",
+     {.Code = CodeStrategy::Cluster, .Split = SplitMode::HotCold}},
+    {"cluster_split_exttsp",
+     {.Code = CodeStrategy::Cluster,
+      .Split = SplitMode::HotCold,
+      .Blocks = BlockOrderMode::ExtTsp}},
 };
 constexpr size_t NumVariants = sizeof(Variants) / sizeof(Variants[0]);
 
@@ -70,24 +64,9 @@ struct Reference {
   bool Ok = false;
 };
 
-Reference record(Program &P, const VariantDef &V,
+Reference record(Program &P, const LayoutVariant &V,
                  const CollectedProfiles &Prof, const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = V.Code;
-  Cfg.CodeProf = V.Code == CodeStrategy::CuOrder
-                     ? &Prof.Cu
-                     : V.Code == CodeStrategy::MethodOrder ? &Prof.Method
-                                                          : &Prof.Cluster;
-  if (V.Split) {
-    Cfg.Split = SplitMode::HotCold;
-    Cfg.BlockProf = &Prof.Blocks;
-    if (V.ExtTsp) {
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.EdgeProf = &Prof.Edges;
-    }
-  }
-  NativeImage Img = buildNativeImage(P, Cfg);
+  NativeImage Img = buildNativeImage(P, layoutConfig(V, Prof, 1));
   Reference R;
   if (Img.Built.Failed)
     return R;
@@ -101,19 +80,10 @@ Reference record(Program &P, const VariantDef &V,
   return R;
 }
 
-double geomean(const std::vector<double> &Xs) {
-  if (Xs.empty())
-    return 0.0;
-  double LogSum = 0.0;
-  for (double X : Xs)
-    LogSum += std::log(X);
-  return std::exp(LogSum / double(Xs.size()));
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
   // Same geometry as abl_split/abl_exttsp: demand-fault every page so the
   // layout effect isn't aliased away by readahead batching.
@@ -162,10 +132,10 @@ int main(int Argc, char **Argv) {
     Row R;
     R.Name = Name;
     for (size_t V = 0; V < NumVariants; ++V) {
-      Reference Ref = record(*P, Variants[V], Prof, Run);
+      Reference Ref = record(*P, Variants[V].Layout, Prof, Run);
       if (!Ref.Ok) {
         std::fprintf(stderr, "FAIL: %s/%s build failed\n", Name.c_str(),
-                     Variants[V].Name);
+                     Variants[V].Name.c_str());
         N1Ok = false;
         continue;
       }
@@ -181,21 +151,22 @@ int main(int Argc, char **Argv) {
           std::fprintf(stderr,
                        "FAIL: %s/%s fleet N=1 majors %llu != single-run "
                        "faults %llu\n",
-                       Name.c_str(), Variants[V].Name,
+                       Name.c_str(), Variants[V].Name.c_str(),
                        (unsigned long long)FR.TotalMajors,
                        (unsigned long long)R.RefFaults[V]);
         }
         if (FleetSizes[S] >= 10 && !(FR.warmHitRatio() > 0.0)) {
           WarmOk = false;
           std::fprintf(stderr, "FAIL: %s/%s warm-hit ratio 0 at N=%u\n",
-                       Name.c_str(), Variants[V].Name, FleetSizes[S]);
+                       Name.c_str(), Variants[V].Name.c_str(), FleetSizes[S]);
         }
         R.Cells[V][S].R = std::move(FR);
       }
       const FleetResult &At100 = R.Cells[V][2].R;
       std::printf("%-12s %-22s %8llu %11.2f %11.2f %7.1f%%\n", Name.c_str(),
-                  Variants[V].Name, (unsigned long long)At100.TotalMajors,
-                  At100.P99Ns / 1e6, R.Cells[V][0].R.P99Ns / 1e6,
+                  Variants[V].Name.c_str(),
+                  (unsigned long long)At100.TotalMajors, At100.P99Ns / 1e6,
+                  R.Cells[V][0].R.P99Ns / 1e6,
                   At100.warmHitRatio() * 100.0);
     }
     Rows.push_back(std::move(R));
@@ -209,7 +180,7 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
   double GeoP99[NumVariants][NumSizes] = {};
   for (size_t V = 0; V < NumVariants; ++V) {
-    std::printf("%-22s", Variants[V].Name);
+    std::printf("%-22s", Variants[V].Name.c_str());
     for (size_t S = 0; S < NumSizes; ++S) {
       std::vector<double> Xs;
       for (const Row &R : Rows)

@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
+#include "BenchUtil.h"
 #include "src/compiler/Inliner.h"
 #include "src/core/Builder.h"
 #include "src/ordering/IdStrategies.h"
@@ -31,7 +32,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <map>
 #include <mutex>
@@ -240,7 +240,7 @@ int main(int Argc, char **Argv) {
   // --smoke (bench-smoke ctest label): one workload, jobs 1/2, one rep —
   // exercises the harness and the JSON artifact; the >= 2x speedup gate
   // needs the jobs=4 point and is skipped.
-  bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
+  bool Smoke = benchutil::smokeMode(Argc, Argv);
   std::vector<int> JobLevels = {1, 2, 4, 8};
   std::vector<BenchmarkSpec> Specs = {awfyBenchmark("Richards"),
                                       microserviceBenchmark("micronaut")};

@@ -35,6 +35,7 @@
 #include "src/support/ThreadPool.h"
 #include "src/workloads/Workloads.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -111,6 +112,24 @@ bool hasFlag(int Argc, char **Argv, const char *Flag) {
   for (int I = 0; I < Argc; ++I)
     if (std::strcmp(Argv[I], Flag) == 0)
       return true;
+  return false;
+}
+
+/// False (after printing a usage error) when \p Flag is given with a value
+/// outside the '|'-separated \p Allowed list.
+bool flagValueAllowed(int Argc, char **Argv, const char *Flag,
+                      const std::string &Allowed) {
+  const char *Value = flagValue(Argc, Argv, Flag);
+  if (!Value)
+    return true;
+  for (size_t At = 0; At <= Allowed.size();) {
+    size_t Bar = std::min(Allowed.find('|', At), Allowed.size());
+    if (Allowed.compare(At, Bar - At, Value) == 0)
+      return true;
+    At = Bar + 1;
+  }
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag,
+               Allowed.c_str(), Value);
   return false;
 }
 
@@ -343,7 +362,9 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   BuildConfig Cfg;
   if (const char *Seed = flagValue(Argc, Argv, "--seed"))
     Cfg.Seed = uint64_t(std::atoll(Seed));
-  if (!parseHugePages(Argc, Argv, Cfg))
+  if (!parseHugePages(Argc, Argv, Cfg) ||
+      !flagValueAllowed(Argc, Argv, "--code", "cu|method|cluster") ||
+      !flagValueAllowed(Argc, Argv, "--heap", "inc|struct|path"))
     return 2;
 
   // --profiles keeps its classic meaning for a bare directory (read

@@ -46,106 +46,94 @@ int nimg::evalSeedsFromEnv(int Default) {
   return N > 0 ? N : Default;
 }
 
-const VariantEval *BenchmarkEval::variant(const std::string &Name) const {
-  for (const VariantEval &V : Variants)
-    if (V.Name == Name)
-      return &V;
-  return nullptr;
+BuildConfig nimg::layoutConfig(const LayoutVariant &V,
+                               const CollectedProfiles &Prof, uint64_t Seed,
+                               const std::vector<MemberProfile> *Members) {
+  BuildConfig Cfg;
+  Cfg.Seed = Seed;
+  Cfg.CodeOrder = V.Code;
+  if (V.MergedMembers)
+    Cfg.CodeMembers = Members;
+  else if (V.Code == CodeStrategy::CuOrder)
+    Cfg.CodeProf = &Prof.Cu;
+  else if (V.Code == CodeStrategy::MethodOrder)
+    Cfg.CodeProf = &Prof.Method;
+  else if (V.Code == CodeStrategy::Cluster)
+    Cfg.CodeProf = &Prof.Cluster;
+  if (V.Heap) {
+    Cfg.UseHeapOrder = true;
+    Cfg.HeapOrder = *V.Heap;
+    Cfg.HeapProf = &Prof.forStrategy(*V.Heap);
+  }
+  Cfg.Split = V.Split;
+  Cfg.SplitOpts.Blocks = V.Blocks;
+  if (V.Split != SplitMode::None) {
+    Cfg.BlockProf = &Prof.Blocks;
+    if (V.Blocks == BlockOrderMode::ExtTsp)
+      Cfg.EdgeProf = &Prof.Edges;
+  }
+  Cfg.Image.HugePages = V.HugePages;
+  return Cfg;
 }
 
-namespace {
+const std::vector<NamedLayout> &nimg::paperStrategies() {
+  static const std::vector<NamedLayout> Strategies = {
+      {"cu", {.Code = CodeStrategy::CuOrder}},
+      {"method", {.Code = CodeStrategy::MethodOrder}},
+      {"cluster", {.Code = CodeStrategy::Cluster}},
+      {"incremental id", {.Heap = HeapStrategy::IncrementalId}},
+      {"structural hash", {.Heap = HeapStrategy::StructuralHash}},
+      {"heap path", {.Heap = HeapStrategy::HeapPath}},
+      {"cu+heap path",
+       {.Code = CodeStrategy::CuOrder, .Heap = HeapStrategy::HeapPath}},
+  };
+  return Strategies;
+}
+
+ProfiledWorkload nimg::profileWorkload(const BenchmarkSpec &Spec) {
+  ProfiledWorkload W;
+  W.Spec = Spec;
+  std::vector<std::string> Errors;
+  W.P = compileBenchmark(Spec, Errors);
+  assert(W.P && "benchmark failed to compile");
+  W.Run.StopAtFirstResponse = Spec.Microservice;
+  BuildConfig InstrCfg;
+  InstrCfg.Seed = 1001;
+  W.Prof = collectProfiles(*W.P, InstrCfg, W.Run);
+  return W;
+}
 
 /// The measured quantity for the time axis: end-to-end time for AWFY,
 /// time to first response for microservices (Sec. 7.1).
-double timeOf(const RunStats &S, bool Microservice) {
+static double timeOf(const RunStats &S, bool Microservice) {
   if (Microservice && S.Responded)
     return S.TimeToFirstResponseNs;
   return S.TimeNs;
 }
 
-struct VariantSpec {
-  std::string Name;
-  CodeStrategy Code;
-  bool UseHeap;
-  HeapStrategy Heap;
-};
-
-} // namespace
-
-BenchmarkEval nimg::evaluateBenchmark(const BenchmarkSpec &Spec,
-                                      const EvalOptions &Opts) {
+BenchmarkEval nimg::evaluateSeries(const ProfiledWorkload &W,
+                                   const LayoutVariant &Series,
+                                   const EvalOptions &Opts) {
   BenchmarkEval Eval;
-  Eval.Benchmark = Spec.Name;
-  Eval.Microservice = Spec.Microservice;
+  Eval.Benchmark = W.Spec.Name;
+  Eval.Microservice = W.Spec.Microservice;
 
-  std::vector<std::string> Errors;
-  std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
-  assert(P && "benchmark failed to compile");
-
-  RunConfig Run = Opts.Run;
-  Run.StopAtFirstResponse = Spec.Microservice;
-
-  // --- Profile collection (one instrumented image, Sec. 3) --------------------
-  BuildConfig InstrCfg = Opts.Build;
-  InstrCfg.Seed = Opts.BaseSeed + 1000;
-  CollectedProfiles Prof = collectProfiles(*P, InstrCfg, Run);
-
-  // --- Fleet profile set (cu-merged variant) ----------------------------------
-  std::vector<MemberProfile> Members;
-  if (Opts.MergeMembers > 0) {
-    BuildConfig SetCfg = Opts.Build;
-    SetCfg.Seed = Opts.BaseSeed + 1000;
-    if (!SetCfg.ProfileGeneration)
-      SetCfg.ProfileGeneration = 1;
-    std::vector<std::string> Names;
-    for (int I = 0; I < Opts.MergeMembers; ++I)
-      Names.push_back("inst" + std::to_string(I));
-    Members = collectProfileSet(*P, SetCfg, Run, Names);
-  }
-
-  // --- Measurement helper -------------------------------------------------------
-  auto Measure = [&](const std::string &Name, CodeStrategy Code,
-                     bool UseHeap, HeapStrategy Heap,
-                     const std::vector<MemberProfile> *CodeMembers =
-                         nullptr) {
-    VariantEval V;
-    V.Name = Name;
+  auto Measure = [&](const std::string &Name, LayoutVariant V) {
+    V.Split = Series.Split;
+    V.Blocks = Series.Blocks;
+    VariantEval E;
+    E.Name = Name;
     std::vector<double> Text, HeapF, Total, Time;
     for (int S = 0; S < Opts.Seeds; ++S) {
-      BuildConfig Cfg = Opts.Build;
-      Cfg.Seed = Opts.BaseSeed + uint64_t(S);
-      Cfg.CodeOrder = Code;
-      if (Code == CodeStrategy::CuOrder)
-        Cfg.CodeProf = &Prof.Cu;
-      else if (Code == CodeStrategy::MethodOrder)
-        Cfg.CodeProf = &Prof.Method;
-      else if (Code == CodeStrategy::Cluster)
-        Cfg.CodeProf = &Prof.Cluster;
-      if (CodeMembers) {
-        Cfg.CodeMembers = CodeMembers;
-        Cfg.CodeProf = nullptr;
-      }
-      Cfg.UseHeapOrder = UseHeap;
-      if (UseHeap) {
-        Cfg.HeapOrder = Heap;
-        Cfg.HeapProf = &Prof.forStrategy(Heap);
-      }
-      // --split hotcold rides along on any code strategy: wire the block
-      // profile whenever the caller's build config asks for splitting, and
-      // the edge profile when it also asks for ext-TSP block reordering.
-      if (Cfg.Split != SplitMode::None) {
-        Cfg.BlockProf = &Prof.Blocks;
-        if (Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp)
-          Cfg.EdgeProf = &Prof.Edges;
-      }
-      NativeImage Img = buildNativeImage(*P, Cfg);
+      NativeImage Img =
+          buildNativeImage(*W.P, layoutConfig(V, W.Prof, 1 + uint64_t(S)));
       assert(!Img.Built.Failed && "image build failed");
-      RunStats Stats = runImage(Img, Run);
+      RunStats Stats = runImage(Img, W.Run);
       assert(!Stats.Trapped && "benchmark trapped");
       Text.push_back(double(Stats.TextFaults));
       HeapF.push_back(double(Stats.HeapFaults));
       Total.push_back(double(Stats.totalFaults()));
-      Time.push_back(timeOf(Stats, Spec.Microservice));
+      Time.push_back(timeOf(Stats, Eval.Microservice));
       if (Name == "baseline" && S == 0) {
         Eval.PctStoredObjectsTouched =
             Stats.StoredObjectsTotal == 0
@@ -156,33 +144,21 @@ BenchmarkEval nimg::evaluateBenchmark(const BenchmarkSpec &Spec,
         Eval.ImageBytes = Img.imageBytes();
       }
     }
-    V.TextFaults = statOf(Text);
-    V.HeapFaults = statOf(HeapF);
-    V.TotalFaults = statOf(Total);
-    V.TimeNs = statOf(Time);
-    return V;
+    E.TextFaults = statOf(Text);
+    E.HeapFaults = statOf(HeapF);
+    E.TotalFaults = statOf(Total);
+    E.TimeNs = statOf(Time);
+    return E;
   };
 
-  Eval.Baseline =
-      Measure("baseline", CodeStrategy::None, false, HeapStrategy::HeapPath);
-
-  const VariantSpec Specs[] = {
-      {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
-      {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
-      {"cluster", CodeStrategy::Cluster, false, HeapStrategy::HeapPath},
-      {"incremental id", CodeStrategy::None, true,
-       HeapStrategy::IncrementalId},
-      {"structural hash", CodeStrategy::None, true,
-       HeapStrategy::StructuralHash},
-      {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
-      {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
-  };
+  Eval.Baseline = Measure("baseline", {});
   auto Factor = [](double Base, double Opt) {
     if (Opt <= 0)
       return Base <= 0 ? 1.0 : Base;
     return Base / Opt;
   };
-  auto PushVariant = [&](VariantEval V) {
+  for (const NamedLayout &NV : paperStrategies()) {
+    VariantEval V = Measure(NV.Name, NV.Layout);
     V.TextFaultFactor =
         Factor(Eval.Baseline.TextFaults.Mean, V.TextFaults.Mean);
     V.HeapFaultFactor =
@@ -191,19 +167,15 @@ BenchmarkEval nimg::evaluateBenchmark(const BenchmarkSpec &Spec,
         Factor(Eval.Baseline.TotalFaults.Mean, V.TotalFaults.Mean);
     V.Speedup = Factor(Eval.Baseline.TimeNs.Mean, V.TimeNs.Mean);
     Eval.Variants.push_back(std::move(V));
-  };
-  for (const VariantSpec &VS : Specs)
-    PushVariant(Measure(VS.Name, VS.Code, VS.UseHeap, VS.Heap));
-  if (!Members.empty())
-    PushVariant(Measure("cu-merged", CodeStrategy::CuOrder, false,
-                        HeapStrategy::HeapPath, &Members));
+  }
 
-  // --- Profiling overhead (Sec. 7.4) ------------------------------------------
+  // --- Profiling overhead (Sec. 7.4) ---------------------------------------
   double BaseTime = Eval.Baseline.TimeNs.Mean;
   if (BaseTime > 0) {
-    Eval.CuOverhead = timeOf(Prof.CuRun, Spec.Microservice) / BaseTime;
-    Eval.MethodOverhead = timeOf(Prof.MethodRun, Spec.Microservice) / BaseTime;
-    Eval.HeapOverhead = timeOf(Prof.HeapRun, Spec.Microservice) / BaseTime;
+    bool Micro = Eval.Microservice;
+    Eval.CuOverhead = timeOf(W.Prof.CuRun, Micro) / BaseTime;
+    Eval.MethodOverhead = timeOf(W.Prof.MethodRun, Micro) / BaseTime;
+    Eval.HeapOverhead = timeOf(W.Prof.HeapRun, Micro) / BaseTime;
   }
   return Eval;
 }

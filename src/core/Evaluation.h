@@ -16,6 +16,11 @@
 /// microservices measure elapsed time until the first response and are
 /// then killed.
 ///
+/// A workload is compiled and profiled once (profileWorkload); each series
+/// of the figures (plain, split, split + ext-TSP) is then evaluated against
+/// that one profile bundle (evaluateSeries). The instrumented build ignores
+/// the split and block settings, so sharing the bundle changes no result.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NIMG_CORE_EVALUATION_H
@@ -24,23 +29,48 @@
 #include "src/core/Builder.h"
 #include "src/workloads/Workloads.h"
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace nimg {
 
+/// One point of the layout matrix: code ordering × heap ordering ×
+/// hot/cold splitting × hot-fragment block order × huge-page budget, and
+/// whether the code profile is merged from a fleet member set instead of
+/// the single collected profile.
+struct LayoutVariant {
+  CodeStrategy Code = CodeStrategy::None;
+  /// Heap ordering strategy; empty keeps the default heap layout.
+  std::optional<HeapStrategy> Heap = std::nullopt;
+  SplitMode Split = SplitMode::None;
+  /// Only meaningful with Split == HotCold.
+  BlockOrderMode Blocks = BlockOrderMode::None;
+  uint32_t HugePages = 0;
+  /// Feed the code strategy from the member set passed to layoutConfig
+  /// (merged at build time) rather than from the bundle's own profile.
+  bool MergedMembers = false;
+};
+
+/// A display name for a variant: the JSON key or table column it lands in.
+struct NamedLayout {
+  std::string Name;
+  LayoutVariant Layout;
+};
+
+/// The optimizing build of \p V at build seed \p Seed: wires the bundle's
+/// profile for each requested axis (code, heap, blocks for splitting,
+/// edges for ext-TSP) and, for a MergedMembers variant, \p Members as the
+/// code profile source. Every other BuildConfig field keeps its default.
+BuildConfig layoutConfig(const LayoutVariant &V, const CollectedProfiles &Prof,
+                         uint64_t Seed,
+                         const std::vector<MemberProfile> *Members = nullptr);
+
 struct EvalOptions {
   /// Images built per strategy (paper: 10). Runs are deterministic given a
   /// build, so one measured run per image suffices.
   int Seeds = 3;
-  uint64_t BaseSeed = 1;
-  RunConfig Run;
-  BuildConfig Build;
-  /// When > 0, additionally capture a fleet profile set of this many
-  /// members (one instrumented cu-mode run each) and measure a
-  /// "cu-merged" variant driven by the aggregated profile — the
-  /// multi-instance analogue of the "cu" variant.
-  int MergeMembers = 0;
 };
 
 /// Mean with a 95% confidence interval over build seeds.
@@ -70,8 +100,7 @@ struct BenchmarkEval {
   std::string Benchmark;
   bool Microservice = false;
   VariantEval Baseline;
-  /// cu, method, cluster, incremental id, structural hash, heap path,
-  /// cu+heap path.
+  /// One entry per paperStrategies() row, in that order.
   std::vector<VariantEval> Variants;
 
   /// Fraction of stored snapshot objects the baseline run touches
@@ -84,13 +113,30 @@ struct BenchmarkEval {
   double CuOverhead = 1.0;
   double MethodOverhead = 1.0;
   double HeapOverhead = 1.0;
-
-  const VariantEval *variant(const std::string &Name) const;
 };
 
-/// Runs the full per-benchmark evaluation.
-BenchmarkEval evaluateBenchmark(const BenchmarkSpec &Spec,
-                                const EvalOptions &Opts);
+/// The seven strategies of Figs. 2–5, in column order: cu, method,
+/// cluster, incremental id, structural hash, heap path, cu+heap path.
+const std::vector<NamedLayout> &paperStrategies();
+
+/// A compiled benchmark with its profile bundle (one instrumented build,
+/// Sec. 3) and the run configuration every measurement of it uses.
+struct ProfiledWorkload {
+  BenchmarkSpec Spec;
+  std::unique_ptr<Program> P;
+  RunConfig Run;
+  CollectedProfiles Prof;
+};
+
+/// Compiles \p Spec and collects its profiles once.
+ProfiledWorkload profileWorkload(const BenchmarkSpec &Spec);
+
+/// Evaluates the baseline and every paperStrategies() row against \p W's
+/// profiles, with \p Series's split and block settings applied to every
+/// image (the baseline included). Its other fields are ignored.
+BenchmarkEval evaluateSeries(const ProfiledWorkload &W,
+                             const LayoutVariant &Series,
+                             const EvalOptions &Opts);
 
 /// Geometric mean (the figures' summary statistic).
 double geomean(const std::vector<double> &Factors);

@@ -57,9 +57,9 @@ struct TraceOptions {
   TraceEncoding Encoding = TraceEncoding::Raw;
   uint32_t BufferWords = 16384;
   /// Sampled mode only: model-clock instructions between samples. The
-  /// default is the tab_profiling_overhead sweet spot — coarse enough
-  /// that capture cost vanishes, fine enough that the first AWFY startup
-  /// phase still lands dozens of samples.
+  /// default is the sweet spot of paper_eval's sampled overhead row —
+  /// coarse enough that capture cost vanishes, fine enough that the first
+  /// AWFY startup phase still lands dozens of samples.
   uint64_t SamplePeriod = DefaultSamplePeriod;
   /// Sampled mode only: clock offset of the first sample. Fleet members
   /// stagger their phases so a merged set covers more of the period.
