@@ -4,7 +4,7 @@
 // Startup Performance" (CGO 2025).
 //
 // Sweeps the multi-size page budget (--huge-pages 0/1/2/4) across the 14
-// AWFY benchmarks for three layouts (cu, cluster, cluster+split+exttsp)
+// AWFY benchmarks for three layouts (cu, cluster, cluster+split)
 // and records modeled first-run startup per point in BENCH_hugepages.json.
 // The driver also enforces the lane's invariants: a zero budget is
 // byte-identical to a build without the flag (image bytes, majors AND
@@ -30,10 +30,8 @@ namespace {
 const NamedLayout kStrategies[] = {
     {"cu", {.Code = CodeStrategy::CuOrder}},
     {"cluster", {.Code = CodeStrategy::Cluster}},
-    {"cluster_split_exttsp",
-     {.Code = CodeStrategy::Cluster,
-      .Split = SplitMode::HotCold,
-      .Blocks = BlockOrderMode::ExtTsp}},
+    {"cluster_split",
+     {.Code = CodeStrategy::Cluster, .Split = SplitMode::HotCold}},
 };
 
 struct BudgetPoint {

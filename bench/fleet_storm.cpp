@@ -5,7 +5,7 @@
 //
 // Quantifies what layout optimization is worth at fleet scale: for each
 // AWFY benchmark, builds a ladder of layout variants (cu / method /
-// cluster / cu+split / cluster+split / cluster+split+exttsp), records one
+// cluster / cu+split / cluster+split), records one
 // cold reference run per variant, and replays it through the fleet serving
 // simulator at 1 / 10 / 100 / 1000 concurrent instances under a storm
 // arrival profile with a shared fork/COW page cache. Reports p50/p99
@@ -18,7 +18,7 @@
 //     fault count exactly, for every (benchmark, variant);
 //   - warm-hit ratio > 0 at every N >= 10;
 //   - suite geomean p99 cold-start at N=100 strictly decreases from
-//     --code cu to --code cluster --split hotcold --blocks exttsp.
+//     --code cu to --code cluster --split hotcold.
 //     (Per-benchmark, not every workload wins: hot/cold splitting costs
 //     faults on a few AWFY programs — e.g. Towers — and PEA elision varies
 //     with the build fingerprint, so the ladder is asserted suite-wide and
@@ -45,10 +45,6 @@ const NamedLayout Variants[] = {
     {"cu_split", {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold}},
     {"cluster_split",
      {.Code = CodeStrategy::Cluster, .Split = SplitMode::HotCold}},
-    {"cluster_split_exttsp",
-     {.Code = CodeStrategy::Cluster,
-      .Split = SplitMode::HotCold,
-      .Blocks = BlockOrderMode::ExtTsp}},
 };
 constexpr size_t NumVariants = sizeof(Variants) / sizeof(Variants[0]);
 
@@ -85,7 +81,7 @@ Reference record(Program &P, const LayoutVariant &V,
 int main(int Argc, char **Argv) {
   bool Smoke = benchutil::smokeMode(Argc, Argv);
   RunConfig Run;
-  // Same geometry as abl_split/abl_exttsp: demand-fault every page so the
+  // Same geometry as abl_split: demand-fault every page so the
   // layout effect isn't aliased away by readahead batching.
   Run.Paging.ReadaheadPages = 1;
 
@@ -201,7 +197,7 @@ int main(int Argc, char **Argv) {
   if (!Rows.empty() && !(GeoFull < GeoCu)) {
     P99Ok = false;
     std::fprintf(stderr,
-                 "FAIL: suite geomean p99@100 cluster_split_exttsp %.4f ms "
+                 "FAIL: suite geomean p99@100 cluster_split %.4f ms "
                  "not strictly below cu %.4f ms\n",
                  GeoFull / 1e6, GeoCu / 1e6);
   }

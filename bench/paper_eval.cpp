@@ -4,9 +4,8 @@
 // Startup Performance" (CGO 2025).
 //
 // One evaluation pass over the paper's Sec. 7.1 protocol. Each workload is
-// compiled and profiled once; the AWFY suite is then evaluated in three
-// series (plain, --split hotcold, --split hotcold --blocks exttsp) and the
-// microservices in the plain one. From those evaluations it prints:
+// compiled and profiled once; the AWFY suite is then evaluated in two
+// series (plain, --split hotcold) and the microservices in the plain one. From those evaluations it prints:
 //
 // Figure 2: page-fault reduction on the 14 AWFY benchmarks, cold page
 // cache, per-section fault counting. Paper reference (geomean): cu 1.58x,
@@ -58,16 +57,12 @@ using namespace nimg::benchutil;
 namespace {
 
 /// The AWFY series of Figs. 2 and 5. Every image of a series, the baseline
-/// included, carries the series' split and block settings, so its factors
-/// isolate what ordering adds on top of split images (the split-vs-unsplit
-/// axis itself is abl_split's job). The name is the artifacts' key suffix.
-/// Ext-TSP reorders blocks inside fragments the engine touches wholesale,
-/// so its series is expected to track the split one.
+/// included, carries the series' split setting, so its factors isolate
+/// what ordering adds on top of split images (the split-vs-unsplit axis
+/// itself is abl_split's job). The name is the artifacts' key suffix.
 const NamedLayout kSeries[] = {
     {"", {}},
     {"_split", {.Split = SplitMode::HotCold}},
-    {"_exttsp",
-     {.Split = SplitMode::HotCold, .Blocks = BlockOrderMode::ExtTsp}},
 };
 constexpr size_t kNumSeries = sizeof(kSeries) / sizeof(kSeries[0]);
 
@@ -298,9 +293,7 @@ int main(int Argc, char **Argv) {
   // Figure 2 and Sec. 7.2.
   //===--------------------------------------------------------------------===//
   const char *const Fig2Captions[] = {
-      "with --split hotcold (all images split, same factor convention):",
-      "with --split hotcold --blocks exttsp (expected: identical to the "
-      "split series):"};
+      "with --split hotcold (all images split, same factor convention):"};
   printFigure("Figure 2 — AWFY page-fault reduction",
               ".text faults for cu/method, .svm_heap faults for heap "
               "strategies, both for cu+heap path",
@@ -343,8 +336,7 @@ int main(int Argc, char **Argv) {
   // Figure 5.
   //===--------------------------------------------------------------------===//
   const char *const Fig5Captions[] = {
-      "with --split hotcold (all images split):",
-      "with --split hotcold --blocks exttsp:"};
+      "with --split hotcold (all images split):"};
   std::printf("\n");
   printFigure("Figure 5 — AWFY execution-time speedup",
               "end-to-end execution time on a cold page cache", Opts.Seeds,

@@ -7,7 +7,7 @@
 //
 //   nimage_cli build  <bench|file.mj> [--out image.nimg] [--seed N]
 //                     [--code cu|method|cluster] [--heap inc|struct|path]
-//                     [--split none|hotcold] [--blocks none|exttsp]
+//                     [--split none|hotcold]
 //   nimage_cli run    <bench|file.mj> [--image image.nimg] [--warm]
 //   nimage_cli profile <bench|file.mj> [--dir profiles/] [--cluster-budget B]
 //
@@ -36,10 +36,13 @@
 #include "src/workloads/Workloads.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -133,21 +136,105 @@ bool flagValueAllowed(int Argc, char **Argv, const char *Flag,
   return false;
 }
 
+/// Reads \p Flag's value as a plain decimal number in [Min, Max] into
+/// \p Out: digits only, no sign, space, trailing text or overflow. An
+/// absent flag leaves \p Out alone. Anything else prints
+/// "error: FLAG expects WHAT, got 'VALUE'" and returns false.
+template <typename T>
+bool unsignedFlag(int Argc, char **Argv, const char *Flag,
+                  const std::string &What, T &Out, uint64_t Min = 0,
+                  uint64_t Max = std::numeric_limits<T>::max()) {
+  const char *Text = flagValue(Argc, Argv, Flag);
+  if (!Text)
+    return true;
+  const char *End = Text + std::strlen(Text);
+  uint64_t V = 0;
+  auto [Ptr, Ec] = std::from_chars(Text, End, V, 10);
+  if (Ec != std::errc() || Ptr != End || V < Min || V > Max) {
+    std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag,
+                 What.c_str(), Text);
+    return false;
+  }
+  Out = T(V);
+  return true;
+}
+
 /// Parses --huge-pages into \p Cfg (build and profile both consume it: the
 /// layout maps the region, the cluster solver packs against the budget).
 /// Returns false after printing an error for a malformed value.
 bool parseHugePages(int Argc, char **Argv, BuildConfig &Cfg) {
-  const char *Huge = flagValue(Argc, Argv, "--huge-pages");
-  if (!Huge)
-    return true;
-  long long N = std::atoll(Huge);
-  if (N < 0 || N > (1ll << 20)) {
-    std::fprintf(stderr, "error: --huge-pages expects a 2 MiB page count "
-                         ">= 0 (0 = no huge pages), got '%s'\n",
-                 Huge);
-    return false;
+  return unsignedFlag(Argc, Argv, "--huge-pages",
+                      "a 2 MiB page count >= 0 (0 = no huge pages)",
+                      Cfg.Image.HugePages, 0, 1u << 20);
+}
+
+/// A command-line flag and whether it consumes the next argument.
+struct FlagSpec {
+  const char *Name;
+  bool TakesValue;
+};
+
+/// Every flag each command accepts, on top of the any-command ones.
+const std::map<std::string, std::vector<FlagSpec>> &commandFlags() {
+  static const std::map<std::string, std::vector<FlagSpec>> Flags = {
+      {"profile",
+       {{"--dir", true},
+        {"--generation", true},
+        {"--cluster-budget", true},
+        {"--huge-pages", true},
+        {"--profile-mode", true},
+        {"--sample-period", true}}},
+      {"build",
+       {{"--out", true},
+        {"--seed", true},
+        {"--profiles", true},
+        {"--profile-dir", true},
+        {"--code", true},
+        {"--heap", true},
+        {"--split", true},
+        {"--huge-pages", true}}},
+      {"run",
+       {{"--image", true},
+        {"--warm", false},
+        {"--fleet", true},
+        {"--arrivals", true},
+        {"--arrival-window-ns", true},
+        {"--fleet-seed", true},
+        {"--storm-bursts", true},
+        {"--cache-pages", true}}},
+  };
+  return Flags;
+}
+
+/// False (after printing a usage error) when an argument after the target
+/// is a flag \p Cmd does not accept, or a value flag comes last without
+/// its value.
+bool flagsKnown(const std::string &Cmd, const std::vector<FlagSpec> &Own,
+                int Argc, char **Argv) {
+  static const FlagSpec AnyCommand[] = {{"--jobs", true},
+                                        {"--metrics", false},
+                                        {"--trace-out", true},
+                                        {"--report", true}};
+  for (int I = 3; I < Argc; ++I) {
+    if (std::strncmp(Argv[I], "--", 2) != 0)
+      continue;
+    const FlagSpec *Spec = nullptr;
+    for (const FlagSpec &F : Own)
+      if (std::strcmp(F.Name, Argv[I]) == 0)
+        Spec = &F;
+    for (const FlagSpec &F : AnyCommand)
+      if (std::strcmp(F.Name, Argv[I]) == 0)
+        Spec = &F;
+    if (!Spec) {
+      std::fprintf(stderr, "error: '%s' does not accept %s\n", Cmd.c_str(),
+                   Argv[I]);
+      return false;
+    }
+    if (Spec->TakesValue && ++I == Argc) {
+      std::fprintf(stderr, "error: %s expects a value\n", Spec->Name);
+      return false;
+    }
   }
-  Cfg.Image.HugePages = uint32_t(N);
   return true;
 }
 
@@ -158,7 +245,7 @@ int usage() {
                "[--profiles DIR|a.csv,b.csv,...] [--profile-dir DIR] "
                "[--code cu|method|cluster] "
                "[--heap inc|struct|path] [--split none|hotcold] "
-               "[--blocks none|exttsp] [--huge-pages N]\n"
+               "[--huge-pages N]\n"
                "  nimage_cli run     <target> [--image F] [--warm]\n"
                "                     [--fleet N] "
                "[--arrivals uniform|poisson|storm]\n"
@@ -212,13 +299,6 @@ int usage() {
                "'profile' the cluster\n"
                "                     solver packs the hottest clusters into "
                "the huge budget.\n"
-               "block layout (build):\n"
-               "  --blocks exttsp    reorder blocks inside each split CU's "
-               "hot fragment by the\n"
-               "  ext-TSP objective, driven by DIR/edges.csv (written by "
-               "'profile'); needs\n"
-               "  --split hotcold. Missing/unusable edge counts keep block "
-               "index order.\n"
                "observability (any command):\n"
                "  --metrics          print the metrics registry on exit\n"
                "  --trace-out FILE   write Chrome trace-event JSON spans\n"
@@ -251,27 +331,12 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   RunConfig Run;
   BuildConfig Cfg;
   Cfg.Seed = 1001;
-  if (const char *Gen = flagValue(Argc, Argv, "--generation")) {
-    long long G = std::atoll(Gen);
-    if (G < 0) {
-      std::fprintf(stderr, "error: --generation expects a stamp >= 0 "
-                           "(0 = unstamped), got '%s'\n",
-                   Gen);
-      return 2;
-    }
-    Cfg.ProfileGeneration = uint64_t(G);
-  }
-  if (const char *Budget = flagValue(Argc, Argv, "--cluster-budget")) {
-    long long B = std::atoll(Budget);
-    if (B < 0) {
-      std::fprintf(stderr, "error: --cluster-budget expects a byte count "
-                           ">= 0 (0 = unlimited), got '%s'\n",
-                   Budget);
-      return 2;
-    }
-    Cfg.ClusterPageBudget = uint32_t(B);
-  }
-  if (!parseHugePages(Argc, Argv, Cfg))
+  if (!unsignedFlag(Argc, Argv, "--generation",
+                    "a stamp >= 0 (0 = unstamped)", Cfg.ProfileGeneration) ||
+      !unsignedFlag(Argc, Argv, "--cluster-budget",
+                    "a byte count >= 0 (0 = unlimited)",
+                    Cfg.ClusterPageBudget) ||
+      !parseHugePages(Argc, Argv, Cfg))
     return 2;
   if (const char *PMode = flagValue(Argc, Argv, "--profile-mode")) {
     if (std::strcmp(PMode, "sampled") == 0) {
@@ -283,16 +348,10 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
       return 2;
     }
   }
-  if (const char *Period = flagValue(Argc, Argv, "--sample-period")) {
-    long long N = std::atoll(Period);
-    if (N <= 0 || uint64_t(N) > TraceOptions::MaxSamplePeriod) {
-      std::fprintf(stderr,
-                   "error: --sample-period expects 1..%llu, got '%s'\n",
-                   (unsigned long long)TraceOptions::MaxSamplePeriod, Period);
-      return 2;
-    }
-    Cfg.SamplePeriod = uint64_t(N);
-  }
+  if (!unsignedFlag(Argc, Argv, "--sample-period",
+                    "1.." + std::to_string(TraceOptions::MaxSamplePeriod),
+                    Cfg.SamplePeriod, 1, TraceOptions::MaxSamplePeriod))
+    return 2;
   CollectedProfiles Prof = collectProfiles(*P, Cfg, Run);
   for (const ProfileIssue &I : Prof.ClusterIssues)
     std::fprintf(stderr, "note: cluster profile: %s (%s)\n", I.Detail.c_str(),
@@ -326,7 +385,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
             writeFile(Dir + "/method.csv", Prof.Method.toCsv()) &&
             writeFile(Dir + "/cluster.csv", Prof.Cluster.toCsv()) &&
             writeFile(Dir + "/blocks.csv", Prof.Blocks.toCsv()) &&
-            writeFile(Dir + "/edges.csv", Prof.Edges.toCsv()) &&
             writeFile(Dir + "/heap_inc.csv", Prof.IncrementalId.toCsv()) &&
             writeFile(Dir + "/heap_struct.csv", Prof.StructuralHash.toCsv()) &&
             writeFile(Dir + "/heap_path.csv", Prof.HeapPath.toCsv());
@@ -335,7 +393,7 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
     return 1;
   }
   std::printf("wrote ordering profiles to %s/{cu,method,cluster,blocks,"
-              "edges,heap_inc,heap_struct,heap_path}.csv\n",
+              "heap_inc,heap_struct,heap_path}.csv\n",
               Dir.c_str());
   std::printf("  cu entries: %zu, methods: %zu, heap objects: %zu\n",
               Prof.Cu.Sigs.size(), Prof.Method.Sigs.size(),
@@ -360,9 +418,8 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   if (!P)
     return 1;
   BuildConfig Cfg;
-  if (const char *Seed = flagValue(Argc, Argv, "--seed"))
-    Cfg.Seed = uint64_t(std::atoll(Seed));
-  if (!parseHugePages(Argc, Argv, Cfg) ||
+  if (!unsignedFlag(Argc, Argv, "--seed", "an unsigned integer", Cfg.Seed) ||
+      !parseHugePages(Argc, Argv, Cfg) ||
       !flagValueAllowed(Argc, Argv, "--code", "cu|method|cluster") ||
       !flagValueAllowed(Argc, Argv, "--heap", "inc|struct|path"))
     return 2;
@@ -509,40 +566,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
       return 2;
     }
   }
-  EdgeProfile EdgeProf;
-  if (const char *Blocks = flagValue(Argc, Argv, "--blocks")) {
-    if (std::strcmp(Blocks, "exttsp") == 0) {
-      if (Cfg.Split != SplitMode::HotCold) {
-        std::fprintf(stderr,
-                     "error: --blocks exttsp needs --split hotcold (it "
-                     "reorders within hot fragments)\n");
-        return 2;
-      }
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      std::string File = Dir + "/edges.csv";
-      std::string Csv;
-      if (readFile(File, Csv)) {
-        ProfileReadReport Report;
-        EdgeProf = EdgeProfile::fromCsv(Csv, &Report);
-        Cfg.EdgeProf = &EdgeProf;
-        if (Report.RowsSkipped > 0)
-          std::fprintf(stderr, "warning: %s: skipped %zu malformed row(s)\n",
-                       File.c_str(), Report.RowsSkipped);
-      } else {
-        // A missing edge profile is not fatal: hot fragments keep block
-        // index order and insufficient_edge_profile is recorded.
-        std::fprintf(stderr,
-                     "warning: missing profile %s; keeping block index "
-                     "order (run 'profile' first)\n",
-                     File.c_str());
-      }
-    } else if (std::strcmp(Blocks, "none") != 0) {
-      std::fprintf(stderr, "error: --blocks expects none|exttsp, got '%s'\n",
-                   Blocks);
-      return 2;
-    }
-  }
-
   NativeImage Img = buildNativeImage(*P, Cfg);
 
   obs::StartupReport Report;
@@ -562,9 +585,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   if (Cfg.Split == SplitMode::HotCold)
     Report.Variant += (Report.Variant.empty() ? "" : " ") +
                       std::string("split=hotcold");
-  if (Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp)
-    Report.Variant += (Report.Variant.empty() ? "" : " ") +
-                      std::string("blocks=exttsp");
   if (Cfg.Image.HugePages > 0)
     Report.Variant += (Report.Variant.empty() ? "" : " ") +
                       std::string("huge-pages=") +
@@ -598,16 +618,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
                 Img.Split.SplitCus, Img.Split.DegradedCus,
                 (unsigned long long)Img.Layout.ColdTailSize,
                 (unsigned long long)Img.Split.StubBytes);
-  if (Img.Split.ExtTsp.Requested) {
-    const ExtTspSummary &T = Img.Split.ExtTsp;
-    std::printf("  blocks: exttsp reordered %u CU(s), %u degraded, %llu "
-                "chain merge(s), score %+.1f%%\n",
-                T.ReorderedCus, T.DegradedCus,
-                (unsigned long long)T.ChainMerges,
-                T.ScoreBefore > 0
-                    ? 100.0 * (T.ScoreAfter - T.ScoreBefore) / T.ScoreBefore
-                    : 0.0);
-  }
   if (Img.ProfileDiag.Merge.attempted()) {
     const MergeManifest &M = Img.ProfileDiag.Merge;
     std::printf("  merge: %s — %zu member(s): %zu accepted, %zu "
@@ -652,6 +662,32 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
 }
 
 int cmdRun(const std::string &Target, int Argc, char **Argv) {
+  // The fleet flags are checked even without --fleet: a malformed value is
+  // a usage error, never silently ignored.
+  FleetConfig FC;
+  uint64_t WindowNs = uint64_t(FC.ArrivalWindowNs);
+  if (!unsignedFlag(Argc, Argv, "--fleet", "an instance count >= 1",
+                    FC.Instances, 1) ||
+      !unsignedFlag(Argc, Argv, "--arrival-window-ns", "a window >= 0",
+                    WindowNs) ||
+      !unsignedFlag(Argc, Argv, "--fleet-seed", "an unsigned integer",
+                    FC.Seed) ||
+      !unsignedFlag(Argc, Argv, "--storm-bursts", "a burst count >= 1",
+                    FC.StormBursts, 1) ||
+      !unsignedFlag(Argc, Argv, "--cache-pages",
+                    "a page count >= 0 (0 = unlimited)", FC.CachePages))
+    return 2;
+  FC.ArrivalWindowNs = double(WindowNs);
+  if (const char *Arrivals = flagValue(Argc, Argv, "--arrivals")) {
+    if (!parseArrivalKind(Arrivals, FC.Arrivals)) {
+      std::fprintf(stderr,
+                   "error: --arrivals expects uniform|poisson|storm, got "
+                   "'%s'\n",
+                   Arrivals);
+      return 2;
+    }
+  }
+
   std::unique_ptr<Program> P = loadTarget(Target);
   if (!P)
     return 1;
@@ -675,62 +711,7 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
   RunConfig Run;
   Run.ColdCache = !hasFlag(Argc, Argv, "--warm");
 
-  if (const char *Fleet = flagValue(Argc, Argv, "--fleet")) {
-    long long N = std::atoll(Fleet);
-    if (N <= 0) {
-      std::fprintf(stderr,
-                   "error: --fleet expects an instance count >= 1, got "
-                   "'%s'\n",
-                   Fleet);
-      return 2;
-    }
-    FleetConfig FC;
-    FC.Instances = uint32_t(N);
-    if (const char *Arrivals = flagValue(Argc, Argv, "--arrivals")) {
-      if (!parseArrivalKind(Arrivals, FC.Arrivals)) {
-        std::fprintf(stderr,
-                     "error: --arrivals expects uniform|poisson|storm, got "
-                     "'%s'\n",
-                     Arrivals);
-        return 2;
-      }
-    }
-    if (const char *Window = flagValue(Argc, Argv, "--arrival-window-ns")) {
-      double W = std::atof(Window);
-      if (W < 0) {
-        std::fprintf(stderr,
-                     "error: --arrival-window-ns expects a window >= 0, got "
-                     "'%s'\n",
-                     Window);
-        return 2;
-      }
-      FC.ArrivalWindowNs = W;
-    }
-    if (const char *Seed = flagValue(Argc, Argv, "--fleet-seed"))
-      FC.Seed = std::strtoull(Seed, nullptr, 10);
-    if (const char *Bursts = flagValue(Argc, Argv, "--storm-bursts")) {
-      long long B = std::atoll(Bursts);
-      if (B <= 0) {
-        std::fprintf(stderr,
-                     "error: --storm-bursts expects a burst count >= 1, got "
-                     "'%s'\n",
-                     Bursts);
-        return 2;
-      }
-      FC.StormBursts = uint32_t(B);
-    }
-    if (const char *Cache = flagValue(Argc, Argv, "--cache-pages")) {
-      long long C = std::atoll(Cache);
-      if (C < 0) {
-        std::fprintf(stderr,
-                     "error: --cache-pages expects a page count >= 0 "
-                     "(0 = unlimited), got '%s'\n",
-                     Cache);
-        return 2;
-      }
-      FC.CachePages = uint64_t(C);
-    }
-
+  if (flagValue(Argc, Argv, "--fleet")) {
     RunStats Ref;
     FleetResult FR = runFleet(Img, Run, FC, &Ref);
     std::fputs(Ref.Output.c_str(), stdout);
@@ -804,31 +785,29 @@ int main(int Argc, char **Argv) {
     return usage();
   std::string Cmd = Argv[1];
   std::string Target = Argv[2];
+  auto Flags = commandFlags().find(Cmd);
+  if (Flags == commandFlags().end())
+    return usage();
+  if (!flagsKnown(Cmd, Flags->second, Argc, Argv))
+    return 2;
 
-  if (const char *Jobs = flagValue(Argc, Argv, "--jobs")) {
-    int N = std::atoi(Jobs);
-    if (N <= 0) {
-      std::fprintf(stderr, "error: --jobs expects a positive integer, got "
-                           "'%s'\n",
-                   Jobs);
-      return 2;
-    }
-    setJobs(N);
-  }
+  int Jobs = 0;
+  if (!unsignedFlag(Argc, Argv, "--jobs", "a positive integer", Jobs, 1))
+    return 2;
+  if (Jobs > 0)
+    setJobs(Jobs);
 
   const char *TraceOut = flagValue(Argc, Argv, "--trace-out");
   if (TraceOut)
     obs::SpanTracer::global().setEnabled(true);
 
-  int Rc = 2;
+  int Rc;
   if (Cmd == "profile")
     Rc = cmdProfile(Target, Argc, Argv);
   else if (Cmd == "build")
     Rc = cmdBuild(Target, Argc, Argv);
-  else if (Cmd == "run")
-    Rc = cmdRun(Target, Argc, Argv);
   else
-    return usage();
+    Rc = cmdRun(Target, Argc, Argv);
 
   if (TraceOut) {
     if (!obs::SpanTracer::global().writeFile(TraceOut)) {

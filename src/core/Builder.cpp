@@ -74,31 +74,6 @@ bool blockProfileUsable(const BlockProfile &BP, uint64_t BuildFp,
   return true;
 }
 
-/// Whether the offered edge profile may drive ext-TSP block reordering.
-/// Same provenance vetting as blockProfileUsable; the coverage threshold
-/// again belongs to the splitter.
-bool edgeProfileUsable(const EdgeProfile &EP, uint64_t BuildFp,
-                       ProfileDiagnostics &Diag) {
-  if (EP.LoadError != ProfileError::None) {
-    addDiag(Diag, EP.LoadError, "edge profile rejected at load");
-    return false;
-  }
-  if (EP.Header.Version == 0)
-    return true;
-  if (EP.Header.Mode != TraceMode::MethodOrder) {
-    addDiag(Diag, ProfileError::ModeMismatch,
-            "edge counts must come from a method-order path trace");
-    return false;
-  }
-  if (EP.Header.Fingerprint != 0 && BuildFp != 0 &&
-      EP.Header.Fingerprint != BuildFp) {
-    addDiag(Diag, ProfileError::FingerprintMismatch,
-            "edge profile came from a different program");
-    return false;
-  }
-  return true;
-}
-
 bool heapProfileUsable(const HeapProfile &HP, HeapStrategy Strategy,
                        uint64_t BuildFp, ProfileDiagnostics &Diag) {
   if (HP.LoadError != ProfileError::None) {
@@ -199,18 +174,6 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
       NIMG_COUNTER_ADD("nimg.build.degraded.split", 1);
     }
   }
-  const EdgeProfile *EdgeProf = Cfg.EdgeProf;
-  bool BlocksRequested =
-      SplitRequested && Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp;
-  if (BlocksRequested && EdgeProf) {
-    Img.ProfileDiag.EdgeProfileProvided = true;
-    if (edgeProfileUsable(*EdgeProf, BuildFp, Img.ProfileDiag)) {
-      Img.ProfileDiag.EdgeProfileApplied = true;
-    } else {
-      EdgeProf = nullptr;
-      NIMG_COUNTER_ADD("nimg.build.degraded.blocks", 1);
-    }
-  }
   const HeapProfile *HeapProf = Cfg.HeapProf;
   if (Cfg.UseHeapOrder && HeapProf) {
     Img.ProfileDiag.HeapProfileProvided = true;
@@ -259,8 +222,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   //     the fingerprint folded below — are byte-identical at any --jobs.
   if (SplitRequested) {
     NIMG_SPAN("build", "split");
-    Img.Split =
-        splitCompiledProgram(P, Img.Code, BlockProf, Cfg.SplitOpts, EdgeProf);
+    Img.Split = splitCompiledProgram(P, Img.Code, BlockProf, Cfg.SplitOpts);
     for (const ProfileIssue &I : Img.Split.Issues) {
       Img.ProfileDiag.Issues.push_back(I);
       NIMG_COUNTER_ADD_DYN(std::string("nimg.build.profile_rejected.") +
@@ -272,10 +234,6 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     if (Img.Split.SplitCus == 0 &&
         Img.Split.DegradedCus == uint32_t(Img.Code.CUs.size()))
       Img.ProfileDiag.BlockProfileApplied = false;
-    // "Applied" for the edge profile means at least one hot fragment was
-    // actually reordered; usable-but-inert counts report as provided only.
-    if (BlocksRequested)
-      Img.ProfileDiag.EdgeProfileApplied = Img.Split.ExtTsp.Applied;
   }
 
   // 3. Code ordering (Sec. 4) — determines .text placement and, through
@@ -470,9 +428,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     Out.Blocks.LoadError = ProfileError::InsufficientBlockProfile;
     Out.Blocks.Header.Fingerprint = Fp;
     Out.Blocks.Header.Generation = Gen;
-    Out.Edges.LoadError = ProfileError::InsufficientEdgeProfile;
-    Out.Edges.Header.Fingerprint = Fp;
-    Out.Edges.Header.Generation = Gen;
   } else {
     TraceCapture CuCap;
     {
@@ -520,16 +475,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       Out.Blocks.Header.Fingerprint = Fp;
       Out.Blocks.Header.Generation = Gen;
       Out.Blocks.Header.CoveragePermille = Out.Blocks.CoveragePermille;
-    }
-    {
-      // Edge counts reuse the same capture again: consecutive blocks of a
-      // path record are CFG edges, so the reordering evidence also costs
-      // one more post-processing pass, not another instrumented run.
-      NIMG_SPAN("profile", "post.edges");
-      Out.Edges = analyzeEdgeCounts(P, MethodCap, Paths, nullptr);
-      Out.Edges.Header.Fingerprint = Fp;
-      Out.Edges.Header.Generation = Gen;
-      Out.Edges.Header.CoveragePermille = Out.Edges.CoveragePermille;
     }
   }
 

@@ -66,12 +66,8 @@ BuildConfig nimg::layoutConfig(const LayoutVariant &V,
     Cfg.HeapProf = &Prof.forStrategy(*V.Heap);
   }
   Cfg.Split = V.Split;
-  Cfg.SplitOpts.Blocks = V.Blocks;
-  if (V.Split != SplitMode::None) {
+  if (V.Split != SplitMode::None)
     Cfg.BlockProf = &Prof.Blocks;
-    if (V.Blocks == BlockOrderMode::ExtTsp)
-      Cfg.EdgeProf = &Prof.Edges;
-  }
   Cfg.Image.HugePages = V.HugePages;
   return Cfg;
 }
@@ -120,7 +116,6 @@ BenchmarkEval nimg::evaluateSeries(const ProfiledWorkload &W,
 
   auto Measure = [&](const std::string &Name, LayoutVariant V) {
     V.Split = Series.Split;
-    V.Blocks = Series.Blocks;
     VariantEval E;
     E.Name = Name;
     std::vector<double> Text, HeapF, Total, Time;

@@ -17,9 +17,9 @@
 /// then killed.
 ///
 /// A workload is compiled and profiled once (profileWorkload); each series
-/// of the figures (plain, split, split + ext-TSP) is then evaluated against
-/// that one profile bundle (evaluateSeries). The instrumented build ignores
-/// the split and block settings, so sharing the bundle changes no result.
+/// of the figures (plain, split) is then evaluated against that one profile
+/// bundle (evaluateSeries). The instrumented build ignores the split
+/// setting, so sharing the bundle changes no result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,7 @@
 namespace nimg {
 
 /// One point of the layout matrix: code ordering × heap ordering ×
-/// hot/cold splitting × hot-fragment block order × huge-page budget, and
+/// hot/cold splitting × huge-page budget, and
 /// whether the code profile is merged from a fleet member set instead of
 /// the single collected profile.
 struct LayoutVariant {
@@ -45,8 +45,6 @@ struct LayoutVariant {
   /// Heap ordering strategy; empty keeps the default heap layout.
   std::optional<HeapStrategy> Heap = std::nullopt;
   SplitMode Split = SplitMode::None;
-  /// Only meaningful with Split == HotCold.
-  BlockOrderMode Blocks = BlockOrderMode::None;
   uint32_t HugePages = 0;
   /// Feed the code strategy from the member set passed to layoutConfig
   /// (merged at build time) rather than from the bundle's own profile.
@@ -60,9 +58,8 @@ struct NamedLayout {
 };
 
 /// The optimizing build of \p V at build seed \p Seed: wires the bundle's
-/// profile for each requested axis (code, heap, blocks for splitting,
-/// edges for ext-TSP) and, for a MergedMembers variant, \p Members as the
-/// code profile source. Every other BuildConfig field keeps its default.
+/// profile for each requested axis (code, heap, blocks for splitting) and,
+/// for a MergedMembers variant, \p Members as the code profile source. Every other BuildConfig field keeps its default.
 BuildConfig layoutConfig(const LayoutVariant &V, const CollectedProfiles &Prof,
                          uint64_t Seed,
                          const std::vector<MemberProfile> *Members = nullptr);
@@ -132,8 +129,8 @@ struct ProfiledWorkload {
 ProfiledWorkload profileWorkload(const BenchmarkSpec &Spec);
 
 /// Evaluates the baseline and every paperStrategies() row against \p W's
-/// profiles, with \p Series's split and block settings applied to every
-/// image (the baseline included). Its other fields are ignored.
+/// profiles, with \p Series's split setting applied to every image (the
+/// baseline included). Its other fields are ignored.
 BenchmarkEval evaluateSeries(const ProfiledWorkload &W,
                              const LayoutVariant &Series,
                              const EvalOptions &Opts);

@@ -417,6 +417,64 @@ void encodeImage(Sink &B, const NativeImage &Img,
   B.appendU32(Img.Layout.PageSize);
 }
 
+/// Cross-reference check of a decoded image: every method, CU, inline-copy,
+/// cell and snapshot-entry index it stores must point inside the table it
+/// indexes, because the runtime indexes with them unchecked. Returns the
+/// first violation, or null when every reference is in range.
+const char *badReference(const Program &P, const NativeImage &Img) {
+  const CompiledProgram &Code = Img.Code;
+  const size_t NumMethods = P.numMethods();
+  const int64_t NumCus = int64_t(Code.CUs.size());
+  if (Code.CuOfMethod.size() != NumMethods)
+    return "CU table does not cover every method";
+  for (int32_t Cu : Code.CuOfMethod)
+    if (Cu < -1 || Cu >= NumCus)
+      return "CU index out of range";
+  for (int32_t Cu : Img.Layout.CuOrder)
+    if (Cu < 0 || Cu >= NumCus)
+      return "CU index out of range";
+  for (size_t Cu = 0; Cu < Code.CUs.size(); ++Cu) {
+    const CompilationUnit &CU = Code.CUs[Cu];
+    if (CU.Root < 0 || size_t(CU.Root) >= NumMethods || CU.Copies.empty())
+      return "CU root out of range";
+    for (size_t K = 0; K < CU.Copies.size(); ++K) {
+      const InlineCopy &Copy = CU.Copies[K];
+      if (Copy.Method < 0 || size_t(Copy.Method) >= NumMethods)
+        return "inline-copy method out of range";
+      if (K > 0 && (Copy.ParentCopy < 0 || size_t(Copy.ParentCopy) >= K))
+        return "inline-copy parent out of range";
+    }
+    if (Img.Split.active() && Img.Split.PerCu[Cu].Split &&
+        Img.Split.PerCu[Cu].Copies.size() != CU.Copies.size())
+      return "split copy count differs from the CU's";
+  }
+
+  const int64_t NumCells = int64_t(Img.Built.BuildHeap->numCells());
+  auto BadCell = [&](int64_t Cell) { return Cell < 0 || Cell >= NumCells; };
+  auto BadValue = [&](const Value &V) { return V.isRef() && BadCell(V.Ref); };
+  for (size_t Cell = 0; Cell < size_t(NumCells); ++Cell)
+    for (const Value &V : Img.Built.BuildHeap->cell(CellIdx(Cell)).Slots)
+      if (BadValue(V))
+        return "cell index out of range";
+  for (const std::vector<Value> &Row : Img.Built.Statics)
+    for (const Value &V : Row)
+      if (BadValue(V))
+        return "cell index out of range";
+  for (CellIdx Cell : Img.Built.ClassMetaCells)
+    if (Cell != -1 && BadCell(Cell)) // -1: class without a meta cell
+      return "cell index out of range";
+  for (const auto &[Name, Cell] : Img.Built.ResourceCells)
+    if (BadCell(Cell))
+      return "cell index out of range";
+  const int64_t NumEntries = int64_t(Img.Snapshot.Entries.size());
+  for (const SnapshotEntry &E : Img.Snapshot.Entries)
+    if (BadCell(E.Cell) || E.ParentEntry < -1 || E.ParentEntry >= NumEntries)
+      return "snapshot reference out of range";
+  if (Img.Layout.ObjectOffsets.size() != Img.Snapshot.Entries.size())
+    return "object offsets do not cover the snapshot";
+  return nullptr;
+}
+
 } // namespace
 
 std::vector<uint8_t> nimg::serializeImage(const Program &P,
@@ -586,6 +644,10 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   Out.Ids.HeapPathHashes = C.u64s();
 
   Out.Layout.PageSize = C.u32();
+  if (C.ok() && Out.Layout.PageSize == 0) {
+    C.fail("zero page size");
+    return false;
+  }
   Out.Layout.CuOrder = C.i32s();
   Out.Layout.CuOffsets = C.u64s();
   Out.Layout.NativeTailOffset = C.u64();
@@ -677,6 +739,10 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
        (Out.Split.PerCu.size() != Out.Code.CUs.size() ||
         Out.Layout.CuColdOffsets.size() != Out.Code.CUs.size()))) {
     Error = "inconsistent image file";
+    return false;
+  }
+  if (const char *Bad = badReference(P, Out)) {
+    Error = std::string("inconsistent image file: ") + Bad;
     return false;
   }
   return true;

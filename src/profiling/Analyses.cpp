@@ -414,9 +414,6 @@ void nimg::replayThreadPrefix(const Program &P, TraceMode Mode,
     for (BlockId B : Events.Blocks)
       for (OrderingAnalysis *A : Analyses)
         A->onBlockVisit(M, B);
-    if (!Events.Blocks.empty())
-      for (OrderingAnalysis *A : Analyses)
-        A->onPathRecord(M, Events.Blocks, Events.MethodEntry);
     if (!HasOperands)
       continue;
     // A record cut mid-operands at the thread's end (mode-1 SIGKILL)
@@ -904,204 +901,6 @@ BlockProfile nimg::analyzeBlockCounts(const Program &P,
           ? uint32_t(Stats.WordsKept * 1000 / Stats.WordsScanned)
           : 0;
   NIMG_COUNTER_ADD("nimg.split.block_rows", Out.Rows.size());
-  if (StatsOut)
-    *StatsOut = Stats;
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// CFG-edge execution counts (ext-TSP block-reordering evidence).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Per-thread CFG-edge counter. Consecutive block pairs within one path
-/// record are true CFG edges by construction. The edges a record cut
-/// severs — loop back edges and frame-pushing call sites — are recovered
-/// by stitching: the last block of a method's previous record joins the
-/// first block of its next non-entry record, but only when the static CFG
-/// confirms the adjacency (a call cut resumes inside the same block, which
-/// the consecutive-duplicate collapse already handles; interleaved
-/// recursive invocations fail the successor check and contribute nothing).
-class EdgeCountAnalysis : public OrderingAnalysis {
-public:
-  explicit EdgeCountAnalysis(const Program &P) : P(P) {}
-
-  void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
-                    bool MethodEntry) override {
-    for (size_t I = 0; I + 1 < Blocks.size(); ++I)
-      note(M, Blocks[I], Blocks[I + 1]);
-    auto [It, Fresh] = LastBlock.try_emplace(M, Blocks.back());
-    if (!Fresh) {
-      if (!MethodEntry && isStaticEdge(M, It->second, Blocks.front()))
-        note(M, It->second, Blocks.front());
-      It->second = Blocks.back();
-    }
-  }
-
-  /// Key: (method << 40) | (from << 20) | to. Blocks per method are far
-  /// below 2^20 (the path-id field itself is 20 bits) and method ids far
-  /// below 2^24; out-of-range values are skipped defensively.
-  std::unordered_map<uint64_t, uint64_t> Counts;
-
-private:
-  void note(MethodId M, BlockId From, BlockId To) {
-    if (uint32_t(M) >= (1u << 24) || uint32_t(From) >= (1u << 20) ||
-        uint32_t(To) >= (1u << 20))
-      return;
-    ++Counts[(uint64_t(uint32_t(M)) << 40) | (uint64_t(uint32_t(From)) << 20) |
-             uint32_t(To)];
-  }
-
-  bool isStaticEdge(MethodId M, BlockId From, BlockId To) const {
-    const Method &Meth = P.method(M);
-    if (size_t(From) >= Meth.Blocks.size() ||
-        Meth.Blocks[size_t(From)].Instrs.empty())
-      return false;
-    const Instr &Term = Meth.Blocks[size_t(From)].Instrs.back();
-    switch (Term.Op) {
-    case Opcode::Br:
-      return Term.Target == To || BlockId(Term.Aux2) == To;
-    case Opcode::Jmp:
-      return Term.Target == To;
-    default:
-      return false;
-    }
-  }
-
-  const Program &P;
-  /// Last path-record tail block seen per method within this thread.
-  std::unordered_map<MethodId, BlockId> LastBlock;
-};
-
-} // namespace
-
-std::string EdgeProfile::toCsv() const {
-  CsvDocument Doc;
-  Doc.Rows.reserve(Rows.size() + 1);
-  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
-  for (const Row &R : Rows)
-    Doc.Rows.push_back({R.Sig, std::to_string(R.From), std::to_string(R.To),
-                        std::to_string(R.Count)});
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
-}
-
-EdgeProfile EdgeProfile::fromCsv(const std::string &Text,
-                                 ProfileReadReport *Report) {
-  ProfileReadReport Local;
-  ProfileReadReport &R = Report ? *Report : Local;
-  R = ProfileReadReport{};
-  EdgeProfile P;
-  P.CoveragePermille = 0; // Only an explicit coverage row vouches for one.
-  CsvDocument Doc = parseCsv(Text);
-  size_t Start = readProfileHeader(Text, Doc, R);
-  P.Header = R.Header;
-  if (!R.usable()) {
-    P.LoadError = R.Fatal;
-    meterProfileLoad("edge", R);
-    return P;
-  }
-  P.Rows.reserve(Doc.Rows.size() - Start);
-  for (size_t I = Start; I < Doc.Rows.size(); ++I) {
-    const std::vector<std::string> &Row = Doc.Rows[I];
-    if (isBlankRow(Row))
-      continue;
-    if (Row[0] == CoverageRowTag) {
-      uint32_t Permille = 0;
-      if (Row.size() < 2 || !parseDecU32(Row[1], Permille) ||
-          Permille > 1000) {
-        ++R.RowsSkipped;
-        addIssue(R, ProfileError::MalformedCell, I + 1, "bad coverage row");
-        continue;
-      }
-      P.CoveragePermille = Permille;
-      ++R.RowsKept;
-      continue;
-    }
-    EdgeProfile::Row Parsed;
-    if (Row.size() < 4 || Row[0].empty() || Row[0].size() > MaxSigBytes ||
-        !parseDecU32(Row[1], Parsed.From) || !parseDecU32(Row[2], Parsed.To) ||
-        !parseDecU64(Row[3], Parsed.Count)) {
-      ++R.RowsSkipped;
-      addIssue(R, ProfileError::MalformedCell, I + 1, "bad edge-count row");
-      continue;
-    }
-    Parsed.Sig = Row[0];
-    P.Rows.push_back(std::move(Parsed));
-    ++R.RowsKept;
-  }
-  meterProfileLoad("edge", R);
-  return P;
-}
-
-EdgeProfile nimg::analyzeEdgeCounts(const Program &P,
-                                    const TraceCapture &Capture,
-                                    PathGraphCache &Paths,
-                                    SalvageStats *StatsOut) {
-  EdgeProfile Out;
-  Out.Header.Mode = TraceMode::MethodOrder;
-  if (Capture.Options.Mode != TraceMode::MethodOrder) {
-    reportModeMismatch(StatsOut);
-    Out.CoveragePermille = 0;
-    return Out;
-  }
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    Out = analyzeEdgeCounts(P, Decoded, Paths, StatsOut);
-    if (StatsOut)
-      StatsOut->IncompleteTailRecords += Cut;
-    return Out;
-  }
-
-  SalvageStats Stats;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-  std::vector<std::unordered_map<uint64_t, uint64_t>> PerThread = parallelMap(
-      Capture.Threads.size(), 1, "replay_edges", [&](size_t T) {
-        EdgeCountAnalysis A(P);
-        A.Counts.reserve(Prefix[T] < 4096 ? Prefix[T] : 4096);
-        LocalPathCache Local(Paths);
-        replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                           Prefix[T], Local, {&A});
-        return std::move(A.Counts);
-      });
-
-  // Counts merge by summation — order-insensitive, so the merged map is
-  // identical for any worker count; the sorted rows below fix the output
-  // byte order.
-  std::unordered_map<uint64_t, uint64_t> Merged;
-  size_t Hint = 0;
-  for (const auto &M : PerThread)
-    Hint += M.size();
-  Merged.reserve(Hint);
-  for (const auto &M : PerThread)
-    for (const auto &[Key, N] : M)
-      Merged[Key] += N;
-
-  Out.Rows.reserve(Merged.size());
-  for (const auto &[Key, N] : Merged) {
-    EdgeProfile::Row R;
-    R.Sig = P.method(MethodId(int32_t(Key >> 40))).Sig;
-    R.From = uint32_t((Key >> 20) & 0xfffffu);
-    R.To = uint32_t(Key & 0xfffffu);
-    R.Count = N;
-    Out.Rows.push_back(std::move(R));
-  }
-  std::sort(Out.Rows.begin(), Out.Rows.end(),
-            [](const EdgeProfile::Row &A, const EdgeProfile::Row &B) {
-              if (A.Sig != B.Sig)
-                return A.Sig < B.Sig;
-              if (A.From != B.From)
-                return A.From < B.From;
-              return A.To < B.To;
-            });
-
-  Out.CoveragePermille =
-      Stats.WordsScanned
-          ? uint32_t(Stats.WordsKept * 1000 / Stats.WordsScanned)
-          : 0;
-  NIMG_COUNTER_ADD("nimg.layout.exttsp.edge_rows", Out.Rows.size());
   if (StatsOut)
     *StatsOut = Stats;
   return Out;

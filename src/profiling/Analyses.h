@@ -91,19 +91,6 @@ public:
     (void)M;
     (void)B;
   }
-  /// One whole decoded path record (method/heap modes): the path-ordered
-  /// block list of a single Ball-Larus record, with \p MethodEntry telling
-  /// whether the path starts at the method's entry block or at a cut point
-  /// (frame-pushing call site / loop back edge). Consecutive pairs within
-  /// \p Blocks are true CFG edges; analyses that need edge evidence (the
-  /// ext-TSP block reorderer) consume this instead of reconstructing
-  /// adjacency from onBlockVisit.
-  virtual void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
-                            bool MethodEntry) {
-    (void)M;
-    (void)Blocks;
-    (void)MethodEntry;
-  }
   /// \p SnapshotEntry is the traced image-object index (already >= 0).
   virtual void onObjectAccess(int32_t SnapshotEntry) { (void)SnapshotEntry; }
 };
@@ -203,48 +190,6 @@ struct BlockProfile {
 BlockProfile analyzeBlockCounts(const Program &P, const TraceCapture &Capture,
                                 PathGraphCache &Paths,
                                 SalvageStats *Stats = nullptr);
-
-/// Per-CFG-edge execution counts derived by replaying a MethodOrder path
-/// capture — the evidence the ext-TSP block reorderer consumes. Edges are
-/// keyed by (method signature, source block, target block), so counts
-/// apply to every inline copy of a method, exactly like BlockProfile.
-/// Consecutive block pairs within one path record are true CFG edges; the
-/// edges a record cut severs (loop back edges, frame-pushing call sites)
-/// are re-stitched across records of the same method when the static CFG
-/// confirms the adjacency. CoveragePermille mirrors BlockProfile: the
-/// reorderer degrades to block index order below its threshold.
-struct EdgeProfile {
-  ProfileHeader Header;
-  ProfileError LoadError = ProfileError::None;
-  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
-  /// for a clean trace, 0 when nothing was scanned.
-  uint32_t CoveragePermille = 1000;
-
-  struct Row {
-    std::string Sig;
-    uint32_t From = 0;
-    uint32_t To = 0;
-    uint64_t Count = 0;
-  };
-  /// Sorted by Sig, then From, then To — a deterministic function of the
-  /// merged profile, independent of --jobs.
-  std::vector<Row> Rows;
-
-  bool usable() const { return LoadError == ProfileError::None; }
-
-  std::string toCsv() const;
-  static EdgeProfile fromCsv(const std::string &Text,
-                             ProfileReadReport *Report = nullptr);
-};
-
-/// Derives per-CFG-edge execution counts from a MethodOrder-mode capture
-/// (the same capture analyzeBlockCounts replays; no extra instrumented
-/// run). Per-thread counts merge by summation, so the result is
-/// byte-identical for any worker count. A capture in the wrong mode
-/// yields an empty profile (and sets Stats->ModeMismatch).
-EdgeProfile analyzeEdgeCounts(const Program &P, const TraceCapture &Capture,
-                              PathGraphCache &Paths,
-                              SalvageStats *Stats = nullptr);
 
 } // namespace nimg
 

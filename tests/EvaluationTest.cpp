@@ -42,14 +42,12 @@ Members stampedMembers(const CodeProfile &Prof) {
   return Out;
 }
 
-/// The paper matrix (baseline + seven strategies) in all three series, each
+/// The paper matrix (baseline + seven strategies) in both series, each
 /// wired the way the figure benches' shared evaluation loop wired it.
 std::vector<Case> paperCases() {
   const NamedLayout Series[] = {
       {"plain", {}},
-      {"split", {.Split = SplitMode::HotCold}},
-      {"exttsp",
-       {.Split = SplitMode::HotCold, .Blocks = BlockOrderMode::ExtTsp}}};
+      {"split", {.Split = SplitMode::HotCold}}};
   std::vector<NamedLayout> Matrix = {{"baseline", {}}};
   for (const NamedLayout &S : paperStrategies())
     Matrix.push_back(S);
@@ -58,7 +56,6 @@ std::vector<Case> paperCases() {
     for (const NamedLayout &M : Matrix) {
       LayoutVariant V = M.Layout;
       V.Split = S.Layout.Split;
-      V.Blocks = S.Layout.Blocks;
       Out.push_back({M.Name + "/" + S.Name, V, nullptr});
     }
   return Out;
@@ -68,7 +65,6 @@ std::vector<Case> paperCases() {
 void wirePaperCell(const LayoutVariant &V, BuildConfig &Cfg,
                    const CollectedProfiles &Prof) {
   Cfg.Split = V.Split;
-  Cfg.SplitOpts.Blocks = V.Blocks;
   Cfg.CodeOrder = V.Code;
   if (V.Code == CodeStrategy::CuOrder)
     Cfg.CodeProf = &Prof.Cu;
@@ -84,11 +80,8 @@ void wirePaperCell(const LayoutVariant &V, BuildConfig &Cfg,
                        ? &Prof.StructuralHash
                        : &Prof.HeapPath;
   }
-  if (Cfg.Split != SplitMode::None) {
+  if (Cfg.Split != SplitMode::None)
     Cfg.BlockProf = &Prof.Blocks;
-    if (Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp)
-      Cfg.EdgeProf = &Prof.Edges;
-  }
 }
 
 /// The ablation, fleet and figure-6 benches' variants with their own
@@ -96,13 +89,12 @@ void wirePaperCell(const LayoutVariant &V, BuildConfig &Cfg,
 std::vector<Case> benchCases() {
   const LayoutVariant Cu{.Code = CodeStrategy::CuOrder};
   const LayoutVariant Cluster{.Code = CodeStrategy::Cluster};
-  const LayoutVariant ClusterSplitExtTsp{.Code = CodeStrategy::Cluster,
-                                         .Split = SplitMode::HotCold,
-                                         .Blocks = BlockOrderMode::ExtTsp};
+  const LayoutVariant ClusterSplit{.Code = CodeStrategy::Cluster,
+                                   .Split = SplitMode::HotCold};
   const LayoutVariant CuHeapPath{.Code = CodeStrategy::CuOrder,
                                  .Heap = HeapStrategy::HeapPath};
   std::vector<Case> Out = {
-      // abl_split / abl_exttsp / fleet_storm.
+      // abl_split / fleet_storm.
       {"cu_split",
        {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold},
        [](BuildConfig &C, const CollectedProfiles &P, const Members *) {
@@ -111,17 +103,12 @@ std::vector<Case> benchCases() {
          C.Split = SplitMode::HotCold;
          C.BlockProf = &P.Blocks;
        }},
-      {"method_split_exttsp",
-       {.Code = CodeStrategy::MethodOrder,
-        .Split = SplitMode::HotCold,
-        .Blocks = BlockOrderMode::ExtTsp},
+      {"cluster_split", ClusterSplit,
        [](BuildConfig &C, const CollectedProfiles &P, const Members *) {
-         C.CodeOrder = CodeStrategy::MethodOrder;
-         C.CodeProf = &P.Method;
+         C.CodeOrder = CodeStrategy::Cluster;
+         C.CodeProf = &P.Cluster;
          C.Split = SplitMode::HotCold;
          C.BlockProf = &P.Blocks;
-         C.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-         C.EdgeProf = &P.Edges;
        }},
       // abl_merge / abl_sample: the code profile comes from the members.
       {"cu_merged",
@@ -165,7 +152,7 @@ std::vector<Case> benchCases() {
          C.BlockProf = &P.Blocks;
        }},
   };
-  // abl_hugepages sweeps {cu, cluster, cluster+split+exttsp} over budgets
+  // abl_hugepages sweeps {cu, cluster, cluster+split} over budgets
   // 0/1/2/4; fig6 panel (d) is cu + heap path at budget 1.
   for (uint32_t Budget : {1u, 2u, 4u}) {
     LayoutVariant V = Cu;
@@ -184,17 +171,15 @@ std::vector<Case> benchCases() {
                      C.CodeOrder = CodeStrategy::Cluster;
                      C.CodeProf = &P.Cluster;
                    }});
-    V = ClusterSplitExtTsp;
+    V = ClusterSplit;
     V.HugePages = Budget;
-    Out.push_back({"cluster_split_exttsp_huge" + std::to_string(Budget), V,
+    Out.push_back({"cluster_split_huge" + std::to_string(Budget), V,
                    [](BuildConfig &C, const CollectedProfiles &P,
                       const Members *) {
                      C.CodeOrder = CodeStrategy::Cluster;
                      C.CodeProf = &P.Cluster;
                      C.Split = SplitMode::HotCold;
                      C.BlockProf = &P.Blocks;
-                     C.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-                     C.EdgeProf = &P.Edges;
                    }});
   }
   LayoutVariant Huge = CuHeapPath;
@@ -226,7 +211,7 @@ TEST(EvaluationTest, LayoutConfigMatchesHandWiredBuilds) {
   std::vector<Case> Cases = paperCases();
   for (Case &C : benchCases())
     Cases.push_back(std::move(C));
-  ASSERT_EQ(Cases.size(), 24u + 17u);
+  ASSERT_EQ(Cases.size(), 16u + 17u);
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
     BuildConfig Ref;
@@ -288,35 +273,29 @@ TEST(EvaluationTest, SeriesShareOneProfileBundle) {
   ProfiledWorkload Shared = profileWorkload(awfyBenchmark("Bounce"));
   EvalOptions Opts;
   Opts.Seeds = 1;
-  const LayoutVariant Series[] = {
-      {.Split = SplitMode::HotCold},
-      {.Split = SplitMode::HotCold, .Blocks = BlockOrderMode::ExtTsp}};
-  for (const LayoutVariant &S : Series) {
-    SCOPED_TRACE(S.Blocks == BlockOrderMode::ExtTsp ? "exttsp" : "split");
-    // A freshly compiled workload whose profiles were collected with the
-    // series' own split settings.
-    ProfiledWorkload Own;
-    Own.Spec = Shared.Spec;
-    std::vector<std::string> Errors;
-    Own.P = compileBenchmark(Own.Spec, Errors);
-    ASSERT_TRUE(Own.P);
-    Own.Run = Shared.Run;
-    BuildConfig InstrCfg;
-    InstrCfg.Seed = 1001;
-    InstrCfg.Split = S.Split;
-    InstrCfg.SplitOpts.Blocks = S.Blocks;
-    Own.Prof = collectProfiles(*Own.P, InstrCfg, Own.Run);
+  const LayoutVariant Split{.Split = SplitMode::HotCold};
+  // A freshly compiled workload whose profiles were collected with the
+  // series' own split setting.
+  ProfiledWorkload Own;
+  Own.Spec = Shared.Spec;
+  std::vector<std::string> Errors;
+  Own.P = compileBenchmark(Own.Spec, Errors);
+  ASSERT_TRUE(Own.P);
+  Own.Run = Shared.Run;
+  BuildConfig InstrCfg;
+  InstrCfg.Seed = 1001;
+  InstrCfg.Split = Split.Split;
+  Own.Prof = collectProfiles(*Own.P, InstrCfg, Own.Run);
 
-    BenchmarkEval A = evaluateSeries(Shared, S, Opts);
-    BenchmarkEval B = evaluateSeries(Own, S, Opts);
-    expectSameVariant(A.Baseline, B.Baseline);
-    ASSERT_EQ(A.Variants.size(), paperStrategies().size());
-    ASSERT_EQ(B.Variants.size(), A.Variants.size());
-    for (size_t I = 0; I < A.Variants.size(); ++I)
-      expectSameVariant(A.Variants[I], B.Variants[I]);
-    EXPECT_EQ(A.PctStoredObjectsTouched, B.PctStoredObjectsTouched);
-    EXPECT_EQ(A.CuOverhead, B.CuOverhead);
-    EXPECT_EQ(A.MethodOverhead, B.MethodOverhead);
-    EXPECT_EQ(A.HeapOverhead, B.HeapOverhead);
-  }
+  BenchmarkEval A = evaluateSeries(Shared, Split, Opts);
+  BenchmarkEval B = evaluateSeries(Own, Split, Opts);
+  expectSameVariant(A.Baseline, B.Baseline);
+  ASSERT_EQ(A.Variants.size(), paperStrategies().size());
+  ASSERT_EQ(B.Variants.size(), A.Variants.size());
+  for (size_t I = 0; I < A.Variants.size(); ++I)
+    expectSameVariant(A.Variants[I], B.Variants[I]);
+  EXPECT_EQ(A.PctStoredObjectsTouched, B.PctStoredObjectsTouched);
+  EXPECT_EQ(A.CuOverhead, B.CuOverhead);
+  EXPECT_EQ(A.MethodOverhead, B.MethodOverhead);
+  EXPECT_EQ(A.HeapOverhead, B.HeapOverhead);
 }

@@ -426,3 +426,42 @@ TEST(ImageFile, MutatedImagesLoadOrFailWithAnError) {
       EXPECT_FALSE(Error.empty()) << "trial " << Trial;
   }
 }
+
+TEST(ImageFile, MutatedImagesAreRejectedOrRun) {
+  // Load-then-run contract: a two-byte mutation of a Havlak image either
+  // fails to load with an error or loads into an image that runs without
+  // crashing (a changed result is possible until images carry a checksum).
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P =
+      compileBenchmark(awfyBenchmark("Havlak"), Errors);
+  ASSERT_TRUE(P);
+  BuildConfig Cfg;
+  Cfg.Seed = 7;
+  NativeImage Img = buildNativeImage(*P, Cfg);
+  ASSERT_FALSE(Img.Built.Failed);
+  const std::vector<uint8_t> Bytes = serializeImage(*P, Img);
+  RunConfig Run;
+  RunStats Base = runImage(Img, Run);
+  ASSERT_FALSE(Base.Trapped) << Base.TrapMessage;
+  // A mutated loop bound must not spin for the default 400M instructions.
+  Run.MaxInstructions = 4 * Base.Instructions;
+  const size_t Header = 4 + 8; // keep magic and fingerprint intact
+  SplitMix64 Rng(7);
+  int Rejected = 0, Ran = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    std::vector<uint8_t> M = Bytes;
+    for (int K = 0; K < 2; ++K)
+      M[Header + Rng.nextBelow(M.size() - Header)] = uint8_t(Rng.next());
+    NativeImage Loaded;
+    std::string Error;
+    if (!deserializeImage(*P, M, Loaded, Error)) {
+      EXPECT_FALSE(Error.empty()) << "trial " << Trial;
+      ++Rejected;
+      continue;
+    }
+    runImage(Loaded, Run);
+    ++Ran;
+  }
+  EXPECT_GT(Rejected, 0);
+  EXPECT_GT(Ran, 0);
+}

@@ -213,12 +213,10 @@ struct PipelineArtifacts {
   /// too.
   uint64_t SplitFingerprint = 0;
   std::vector<uint8_t> SplitImageBytes;
-  /// And with --blocks exttsp on top: the edge profile and the chosen
-  /// block orders (folded into the decision fingerprint) must not depend
-  /// on the worker count either.
-  std::string EdgesCsv;
-  uint64_t ExtTspFingerprint = 0;
-  std::vector<uint8_t> ExtTspImageBytes;
+  /// And split under cluster ordering: the cluster profile places the
+  /// hot fragments, and neither may depend on the worker count.
+  uint64_t ClusterSplitFingerprint = 0;
+  std::vector<uint8_t> ClusterSplitImageBytes;
   /// Fleet aggregation rides on the same pool: the merged profile and the
   /// image it drives must be worker-count-invariant too.
   std::string MergedCsv;
@@ -275,14 +273,15 @@ PipelineArtifacts runPipeline(int Jobs) {
   Art.SplitFingerprint = SplitImg.Split.DecisionFingerprint;
   Art.SplitImageBytes = serializeImage(P, SplitImg);
 
-  Art.EdgesCsv = Prof.Edges.toCsv();
-  BuildConfig TspCfg = SplitCfg;
-  TspCfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-  TspCfg.EdgeProf = &Prof.Edges;
-  NativeImage TspImg = buildNativeImage(P, TspCfg);
-  EXPECT_FALSE(TspImg.Built.Failed) << TspImg.Built.FailureMessage;
-  Art.ExtTspFingerprint = TspImg.Split.DecisionFingerprint;
-  Art.ExtTspImageBytes = serializeImage(P, TspImg);
+  BuildConfig ClusterSplitCfg = SplitCfg;
+  ClusterSplitCfg.CodeOrder = CodeStrategy::Cluster;
+  ClusterSplitCfg.CodeProf = &Prof.Cluster;
+  NativeImage ClusterSplitImg = buildNativeImage(P, ClusterSplitCfg);
+  EXPECT_FALSE(ClusterSplitImg.Built.Failed)
+      << ClusterSplitImg.Built.FailureMessage;
+  EXPECT_TRUE(ClusterSplitImg.ProfileDiag.CodeProfileApplied);
+  Art.ClusterSplitFingerprint = ClusterSplitImg.Split.DecisionFingerprint;
+  Art.ClusterSplitImageBytes = serializeImage(P, ClusterSplitImg);
 
   // Fleet path: capture a 3-member set (one instrumented run each under
   // the same pool), merge, and build from the merged profile.
@@ -329,9 +328,8 @@ TEST(ParallelPipelineTest, JobsOneAndEightAreByteIdentical) {
   EXPECT_EQ(One.BlocksCsv, Eight.BlocksCsv);
   EXPECT_EQ(One.SplitFingerprint, Eight.SplitFingerprint);
   EXPECT_EQ(One.SplitImageBytes, Eight.SplitImageBytes);
-  EXPECT_EQ(One.EdgesCsv, Eight.EdgesCsv);
-  EXPECT_EQ(One.ExtTspFingerprint, Eight.ExtTspFingerprint);
-  EXPECT_EQ(One.ExtTspImageBytes, Eight.ExtTspImageBytes);
+  EXPECT_EQ(One.ClusterSplitFingerprint, Eight.ClusterSplitFingerprint);
+  EXPECT_EQ(One.ClusterSplitImageBytes, Eight.ClusterSplitImageBytes);
   EXPECT_EQ(One.MergedCsv, Eight.MergedCsv);
   EXPECT_EQ(One.MergedImageBytes, Eight.MergedImageBytes);
 }
@@ -443,8 +441,8 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
     EXPECT_EQ(One.ClusterCsv, J.ClusterCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.HeapPathCsv, J.HeapPathCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.SplitImageBytes, J.SplitImageBytes) << "jobs=" << Jobs;
-    EXPECT_EQ(One.EdgesCsv, J.EdgesCsv) << "jobs=" << Jobs;
-    EXPECT_EQ(One.ExtTspImageBytes, J.ExtTspImageBytes) << "jobs=" << Jobs;
+    EXPECT_EQ(One.ClusterSplitImageBytes, J.ClusterSplitImageBytes)
+        << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedCsv, J.MergedCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedImageBytes, J.MergedImageBytes) << "jobs=" << Jobs;
   }
