@@ -4,15 +4,14 @@
 // Startup Performance" (CGO 2025).
 //
 // Sweeps the multi-size page budget (--huge-pages 0/1/2/4) across the 14
-// AWFY benchmarks for three layouts (cu, cluster, cluster+split)
-// and records modeled first-run startup per point in BENCH_hugepages.json.
-// The driver also enforces the lane's invariants: a zero budget is
-// byte-identical to a build without the flag (image bytes, majors AND
-// TimeNs), total .text majors never increase under any budget (the huge
-// region only collapses faults), and for the cluster layouts the best
-// budget strictly beats budget 0 on most of the suite (a 2 MiB fault costs
-// 284.4 us vs 80 us, so the region pays off once it absorbs >= 4 small
-// cluster faults).
+// AWFY benchmarks for two layouts (cu, cu+split) and records modeled
+// first-run startup per point in BENCH_hugepages.json. The driver also
+// enforces the lane's invariants: a zero budget is byte-identical to a
+// build without the flag (image bytes, majors AND TimeNs), total .text
+// majors never increase under any budget (the huge region only collapses
+// faults), and the best budget strictly beats budget 0 on most of the
+// suite for every layout (a 2 MiB fault costs 284.4 us vs 80 us, so the
+// region pays off once it absorbs >= 4 small readahead-cluster faults).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +25,9 @@ using namespace nimg;
 
 namespace {
 
-/// The cluster layouts participate in the strict-win gate.
 const NamedLayout kStrategies[] = {
     {"cu", {.Code = CodeStrategy::CuOrder}},
-    {"cluster", {.Code = CodeStrategy::Cluster}},
-    {"cluster_split",
-     {.Code = CodeStrategy::Cluster, .Split = SplitMode::HotCold}},
+    {"cu_split", {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold}},
 };
 
 struct BudgetPoint {
@@ -79,7 +75,7 @@ int main(int Argc, char **Argv) {
     std::vector<StratResult> Strats;
   };
   std::vector<BenchRow> Rows;
-  size_t ClusterStrictWins = 0, ClusterEntries = 0;
+  size_t StrictWins = 0, Entries = 0;
   bool AllZeroIdentity = true, AllMajorsOk = true;
 
   for (const std::string &Name : Names) {
@@ -143,11 +139,9 @@ int main(int Argc, char **Argv) {
       }
       AllMajorsOk = AllMajorsOk && R.MajorsNeverIncrease;
       R.StrictTimeWin = R.BestTimeNs < R.Zero.TimeNs;
-      if (S.Layout.Code == CodeStrategy::Cluster) {
-        ++ClusterEntries;
-        if (R.StrictTimeWin)
-          ++ClusterStrictWins;
-      }
+      ++Entries;
+      if (R.StrictTimeWin)
+        ++StrictWins;
       std::printf("%-12s %-22s %12.0f %12.0f %8u %10s\n", Name.c_str(),
                   S.Name.c_str(), R.Zero.TimeNs, R.BestTimeNs, R.BestBudget,
                   R.StrictTimeWin ? "yes" : "no");
@@ -159,8 +153,8 @@ int main(int Argc, char **Argv) {
   std::printf("\nzero-budget identity: %s; .text majors never increase: %s\n",
               AllZeroIdentity ? "all" : "VIOLATED",
               AllMajorsOk ? "all" : "VIOLATED");
-  std::printf("cluster-layout strict time wins at best budget: %zu of %zu\n",
-              ClusterStrictWins, ClusterEntries);
+  std::printf("strict time wins at best budget: %zu of %zu\n", StrictWins,
+              Entries);
 
   bool Ok = benchjson::writeBenchJson(
       "BENCH_hugepages.json", "abl_hugepages", [&](obs::JsonWriter &W) {
@@ -201,19 +195,18 @@ int main(int Argc, char **Argv) {
           W.endObject();
         }
         W.endArray();
-        W.member("cluster_strict_wins", uint64_t(ClusterStrictWins));
-        W.member("cluster_entries", uint64_t(ClusterEntries));
+        W.member("strict_wins", uint64_t(StrictWins));
+        W.member("entries", uint64_t(Entries));
         W.member("zero_identity_all", AllZeroIdentity);
         W.member("majors_never_increase_all", AllMajorsOk);
       });
 
   // The invariants are hard gates; the strict-win threshold (>= 12 of 14
-  // per cluster layout, i.e. 6/7 of the cluster entries) only applies to
-  // the full sweep — a 2-benchmark smoke is not a statistical sample.
+  // per layout, i.e. 6/7 of all entries) only applies to the full sweep —
+  // a 2-benchmark smoke is not a statistical sample.
   if (!Ok || !AllZeroIdentity || !AllMajorsOk)
     return 1;
-  if (!Smoke && ClusterEntries > 0 &&
-      ClusterStrictWins * 7 < ClusterEntries * 6)
+  if (!Smoke && Entries > 0 && StrictWins * 7 < Entries * 6)
     return 1;
   return 0;
 }

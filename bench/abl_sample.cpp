@@ -15,7 +15,7 @@
 //   (ii) layout fidelity — first-run .text faults of images built from a
 //        4-member sampled-merged profile set (staggered sample phases,
 //        aggregated through the fleet pipeline) against images built from
-//        the single clean instrumented run, for all three --code
+//        the single clean instrumented run, for both --code
 //        strategies. Sampled-merged must land within 10% of the
 //        instrumented layout on all but at most two AWFY benchmarks per
 //        strategy.
@@ -75,15 +75,15 @@ struct Row {
   SampledPoint Sweep[kNumPeriods];
   double RatioAtDefault = 0;
   bool HasFaults = false;
-  StrategyFaults Faults[3]; ///< cu, method, cluster
+  StrategyFaults Faults[2]; ///< cu, method
 };
 
 const struct {
   CodeStrategy Strategy;
   const char *Name;
-} kLegs[3] = {{CodeStrategy::CuOrder, "cu"},
-              {CodeStrategy::MethodOrder, "method"},
-              {CodeStrategy::Cluster, "cluster"}};
+} kLegs[2] = {{CodeStrategy::CuOrder, "cu"},
+              {CodeStrategy::MethodOrder, "method"}};
+constexpr size_t kNumLegs = sizeof(kLegs) / sizeof(kLegs[0]);
 
 /// Model time of one run: time-to-first-response for microservices,
 /// end-to-end otherwise (the paper's measurement convention).
@@ -206,7 +206,7 @@ bool evalWorkload(const std::string &Name, bool Micro, const RunConfig &RunBase,
   CollectedProfiles Prof = collectProfiles(*P, ProfCfg, RunFault);
 
   R.HasFaults = true;
-  for (size_t L = 0; L < 3; ++L) {
+  for (size_t L = 0; L < kNumLegs; ++L) {
     StrategyFaults &F = R.Faults[L];
     LayoutVariant V{.Code = kLegs[L].Strategy};
     F.Instrumented = measureFaults(*P, layoutConfig(V, Prof, 1), RunFault,
@@ -297,18 +297,18 @@ int main(int Argc, char **Argv) {
                  GeoRatio, (unsigned long long)kPeriods[kDefaultIdx]);
 
   size_t FaultRows = 0;
-  size_t WithinCount[3] = {0, 0, 0};
+  size_t WithinCount[kNumLegs] = {};
   for (const Row &R : Rows) {
     if (!R.HasFaults)
       continue;
     ++FaultRows;
-    for (size_t L = 0; L < 3; ++L)
+    for (size_t L = 0; L < kNumLegs; ++L)
       if (R.Faults[L].Within)
         ++WithinCount[L];
   }
   size_t NeedWithin = FaultRows > 2 ? FaultRows - 2 : 0;
   bool FaultsOk = true;
-  for (size_t L = 0; L < 3; ++L) {
+  for (size_t L = 0; L < kNumLegs; ++L) {
     if (WithinCount[L] < NeedWithin) {
       FaultsOk = false;
       std::fprintf(stderr,
@@ -323,7 +323,7 @@ int main(int Argc, char **Argv) {
               "(geomean; need >= 10x): %s\n",
               (unsigned long long)kPeriods[kDefaultIdx], GeoRatio,
               OverheadOk ? "ok" : "VIOLATED");
-  for (size_t L = 0; L < 3; ++L)
+  for (size_t L = 0; L < kNumLegs; ++L)
     std::printf("--code %s: sampled-merged within 10%% on %zu of %zu\n",
                 kLegs[L].Name, WithinCount[L], FaultRows);
 
@@ -357,7 +357,7 @@ int main(int Argc, char **Argv) {
           if (R.HasFaults) {
             W.key("faults");
             W.beginObject();
-            for (size_t L = 0; L < 3; ++L) {
+            for (size_t L = 0; L < kNumLegs; ++L) {
               W.key(kLegs[L].Name);
               W.beginObject();
               W.member("instrumented", R.Faults[L].Instrumented);
@@ -376,7 +376,7 @@ int main(int Argc, char **Argv) {
         W.member("overhead_contract_ok", OverheadOk);
         W.key("within_counts");
         W.beginObject();
-        for (size_t L = 0; L < 3; ++L)
+        for (size_t L = 0; L < kNumLegs; ++L)
           W.member(kLegs[L].Name, uint64_t(WithinCount[L]));
         W.endObject();
         W.member("fault_rows", uint64_t(FaultRows));

@@ -3,8 +3,8 @@
 // Part of the nimage project, a reproduction of "Improving Native-Image
 // Startup Performance" (CGO 2025).
 //
-// Sweeps --split hotcold against unsplit builds across all three code
-// strategies (cu / method / cluster) on the 14 AWFY benchmarks. For each
+// Sweeps --split hotcold against unsplit builds across both code
+// strategies (cu / method) on the 14 AWFY benchmarks. For each
 // (benchmark, strategy) pair it measures first-run .text faults on a cold
 // cache and the run's resident .text working set (pages faulted or
 // prefetched). Splitting exiles never-executed blocks to the cold tail, so
@@ -72,17 +72,17 @@ int main(int Argc, char **Argv) {
   Run.Paging.ReadaheadPages = 1;
 
   const CodeStrategy Strategies[] = {CodeStrategy::CuOrder,
-                                     CodeStrategy::MethodOrder,
-                                     CodeStrategy::Cluster};
+                                     CodeStrategy::MethodOrder};
+  constexpr size_t NumStrategies = sizeof(Strategies) / sizeof(Strategies[0]);
 
   struct Row {
     std::string Name;
-    Measured Unsplit[3];
-    Measured Split[3];
+    Measured Unsplit[NumStrategies];
+    Measured Split[NumStrategies];
   };
   std::vector<Row> Rows;
-  size_t NoWorse[3] = {0, 0, 0};
-  size_t Reduced[3] = {0, 0, 0};
+  size_t NoWorse[NumStrategies] = {};
+  size_t Reduced[NumStrategies] = {};
   bool WorkingSetOk = true;
 
   std::vector<std::string> Names = awfyBenchmarkNames();
@@ -111,7 +111,7 @@ int main(int Argc, char **Argv) {
     Row R;
     R.Name = Name;
     std::printf("%-12s", Name.c_str());
-    for (size_t S = 0; S < 3; ++S) {
+    for (size_t S = 0; S < NumStrategies; ++S) {
       LayoutVariant V{.Code = Strategies[S]};
       R.Unsplit[S] = measure(*P, layoutConfig(V, Prof, 1), Run);
       V.Split = SplitMode::HotCold;
@@ -146,7 +146,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("\nfirst-run .text faults, split vs unsplit:\n");
-  for (size_t S = 0; S < 3; ++S)
+  for (size_t S = 0; S < NumStrategies; ++S)
     std::printf("  %-8s reduced on %zu of %zu benchmarks, no worse on %zu\n",
                 codeStrategyName(Strategies[S]), Reduced[S], Rows.size(),
                 NoWorse[S]);
@@ -160,7 +160,7 @@ int main(int Argc, char **Argv) {
         for (const Row &R : Rows) {
           W.beginObject();
           W.member("name", R.Name);
-          for (size_t S = 0; S < 3; ++S) {
+          for (size_t S = 0; S < NumStrategies; ++S) {
             std::string Prefix = codeStrategyName(Strategies[S]);
             W.member(Prefix + "_text_faults", R.Unsplit[S].TextFaults);
             W.member(Prefix + "_split_text_faults", R.Split[S].TextFaults);
@@ -175,7 +175,7 @@ int main(int Argc, char **Argv) {
           W.endObject();
         }
         W.endArray();
-        for (size_t S = 0; S < 3; ++S) {
+        for (size_t S = 0; S < NumStrategies; ++S) {
           W.member(std::string(codeStrategyName(Strategies[S])) +
                        "_split_le_unsplit_count",
                    uint64_t(NoWorse[S]));

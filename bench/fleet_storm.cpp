@@ -5,7 +5,7 @@
 //
 // Quantifies what layout optimization is worth at fleet scale: for each
 // AWFY benchmark, builds a ladder of layout variants (cu / method /
-// cluster / cu+split / cluster+split), records one
+// cu+split), records one
 // cold reference run per variant, and replays it through the fleet serving
 // simulator at 1 / 10 / 100 / 1000 concurrent instances under a storm
 // arrival profile with a shared fork/COW page cache. Reports p50/p99
@@ -18,7 +18,7 @@
 //     fault count exactly, for every (benchmark, variant);
 //   - warm-hit ratio > 0 at every N >= 10;
 //   - suite geomean p99 cold-start at N=100 strictly decreases from
-//     --code cu to --code cluster --split hotcold.
+//     --code cu to --code cu --split hotcold.
 //     (Per-benchmark, not every workload wins: hot/cold splitting costs
 //     faults on a few AWFY programs — e.g. Towers — and PEA elision varies
 //     with the build fingerprint, so the ladder is asserted suite-wide and
@@ -41,10 +41,7 @@ namespace {
 const NamedLayout Variants[] = {
     {"cu", {.Code = CodeStrategy::CuOrder}},
     {"method", {.Code = CodeStrategy::MethodOrder}},
-    {"cluster", {.Code = CodeStrategy::Cluster}},
     {"cu_split", {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold}},
-    {"cluster_split",
-     {.Code = CodeStrategy::Cluster, .Split = SplitMode::HotCold}},
 };
 constexpr size_t NumVariants = sizeof(Variants) / sizeof(Variants[0]);
 
@@ -197,7 +194,7 @@ int main(int Argc, char **Argv) {
   if (!Rows.empty() && !(GeoFull < GeoCu)) {
     P99Ok = false;
     std::fprintf(stderr,
-                 "FAIL: suite geomean p99@100 cluster_split %.4f ms "
+                 "FAIL: suite geomean p99@100 cu_split %.4f ms "
                  "not strictly below cu %.4f ms\n",
                  GeoFull / 1e6, GeoCu / 1e6);
   }

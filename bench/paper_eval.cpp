@@ -73,7 +73,7 @@ using FactorFn = double (*)(const VariantEval &);
 /// .text faults, heap strategies on .svm_heap faults, the combined
 /// strategy on both (Sec. 7.1).
 double faultFactorOf(const VariantEval &V) {
-  if (V.Name == "cu" || V.Name == "method" || V.Name == "cluster")
+  if (V.Name == "cu" || V.Name == "method")
     return V.TextFaultFactor;
   if (V.Name == "cu+heap path")
     return V.TotalFaultFactor;

@@ -16,7 +16,6 @@ set(CASES
   "build|--jobs|0|error: --jobs expects"
   "build|--jobs|2.5|error: --jobs expects"
   "profile|--generation|7q|error: --generation expects"
-  "profile|--cluster-budget|-4096|error: --cluster-budget expects"
   "profile|--sample-period|0|error: --sample-period expects"
   "profile|--sample-period|1e3|error: --sample-period expects"
   "run|--fleet|ten|error: --fleet expects"
@@ -26,7 +25,10 @@ set(CASES
   "run|--cache-pages| 8|error: --cache-pages expects"
   "build|--bogus|1|error: 'build' does not accept --bogus"
   "run|--seed|1|error: 'run' does not accept --seed"
-  "profile|--out|x|error: 'profile' does not accept --out")
+  "profile|--out|x|error: 'profile' does not accept --out"
+  "profile|--cluster-budget|4096|error: 'profile' does not accept --cluster-budget"
+  "profile|--huge-pages|2|error: 'profile' does not accept --huge-pages"
+  "build|--code|cluster|error: --code expects cu|method, got 'cluster'")
 foreach(CASE ${CASES})
   string(REPLACE "|" ";" PARTS "${CASE}")
   list(GET PARTS 0 CMD)

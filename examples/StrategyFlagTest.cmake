@@ -4,7 +4,7 @@
 #   cmake -DCLI=<nimage_cli> -DROOT=<scratch dir> -P StrategyFlagTest.cmake
 file(REMOVE_RECURSE ${ROOT})
 file(MAKE_DIRECTORY ${ROOT})
-foreach(CASE "code;cu|method|cluster" "heap;inc|struct|path")
+foreach(CASE "code;cu|method" "heap;inc|struct|path")
   list(GET CASE 0 FLAG)
   list(GET CASE 1 ALLOWED)
   set(OUT ${ROOT}/${FLAG}.nimg)

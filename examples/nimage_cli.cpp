@@ -6,10 +6,10 @@
 // A small CLI over the public API:
 //
 //   nimage_cli build  <bench|file.mj> [--out image.nimg] [--seed N]
-//                     [--code cu|method|cluster] [--heap inc|struct|path]
+//                     [--code cu|method] [--heap inc|struct|path]
 //                     [--split none|hotcold]
 //   nimage_cli run    <bench|file.mj> [--image image.nimg] [--warm]
-//   nimage_cli profile <bench|file.mj> [--dir profiles/] [--cluster-budget B]
+//   nimage_cli profile <bench|file.mj> [--dir profiles/]
 //
 // <bench> is an AWFY benchmark name (e.g. Richards), a microservice name
 // (micronaut/quarkus/spring), or a path to a MiniJava source file (which
@@ -159,15 +159,6 @@ bool unsignedFlag(int Argc, char **Argv, const char *Flag,
   return true;
 }
 
-/// Parses --huge-pages into \p Cfg (build and profile both consume it: the
-/// layout maps the region, the cluster solver packs against the budget).
-/// Returns false after printing an error for a malformed value.
-bool parseHugePages(int Argc, char **Argv, BuildConfig &Cfg) {
-  return unsignedFlag(Argc, Argv, "--huge-pages",
-                      "a 2 MiB page count >= 0 (0 = no huge pages)",
-                      Cfg.Image.HugePages, 0, 1u << 20);
-}
-
 /// A command-line flag and whether it consumes the next argument.
 struct FlagSpec {
   const char *Name;
@@ -180,8 +171,6 @@ const std::map<std::string, std::vector<FlagSpec>> &commandFlags() {
       {"profile",
        {{"--dir", true},
         {"--generation", true},
-        {"--cluster-budget", true},
-        {"--huge-pages", true},
         {"--profile-mode", true},
         {"--sample-period", true}}},
       {"build",
@@ -243,7 +232,7 @@ int usage() {
                "usage:\n"
                "  nimage_cli build   <target> [--out F] [--seed N] "
                "[--profiles DIR|a.csv,b.csv,...] [--profile-dir DIR] "
-               "[--code cu|method|cluster] "
+               "[--code cu|method] "
                "[--heap inc|struct|path] [--split none|hotcold] "
                "[--huge-pages N]\n"
                "  nimage_cli run     <target> [--image F] [--warm]\n"
@@ -253,7 +242,7 @@ int usage() {
                "[--storm-bursts B]\n"
                "                     [--cache-pages C]\n"
                "  nimage_cli profile <target> [--dir DIR] "
-               "[--generation N] [--cluster-budget BYTES] [--huge-pages N]\n"
+               "[--generation N]\n"
                "                     [--profile-mode instrumented|sampled] "
                "[--sample-period N]\n"
                "fleet simulation (run):\n"
@@ -281,24 +270,21 @@ int usage() {
                "--profile-dir DIR\n"
                "  merges every cu*.csv in DIR. A bare directory keeps the "
                "classic meaning:\n"
-               "  read {cu,method,cluster,...}.csv from it.\n"
+               "  read {cu,method,...}.csv from it.\n"
                "pipeline (any command):\n"
                "  --jobs N           worker threads for the parallel build/"
                "post-processing stages\n"
                "                     (default: NIMG_JOBS env, then hardware "
                "concurrency; output is\n"
                "                     byte-identical for any N)\n"
-               "huge pages (build, profile):\n"
+               "huge pages (build):\n"
                "  --huge-pages N     map up to N 2 MiB huge pages at the "
                "front of .text (pure\n"
                "                     page-size overlay: 0 is byte-identical "
                "to omitting the flag).\n"
                "                     The count clamps to the hot prefix; an "
                "unfillable remainder\n"
-               "                     records huge_budget_unfillable. In "
-               "'profile' the cluster\n"
-               "                     solver packs the hottest clusters into "
-               "the huge budget.\n"
+               "                     records huge_budget_unfillable.\n"
                "observability (any command):\n"
                "  --metrics          print the metrics registry on exit\n"
                "  --trace-out FILE   write Chrome trace-event JSON spans\n"
@@ -332,11 +318,7 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   BuildConfig Cfg;
   Cfg.Seed = 1001;
   if (!unsignedFlag(Argc, Argv, "--generation",
-                    "a stamp >= 0 (0 = unstamped)", Cfg.ProfileGeneration) ||
-      !unsignedFlag(Argc, Argv, "--cluster-budget",
-                    "a byte count >= 0 (0 = unlimited)",
-                    Cfg.ClusterPageBudget) ||
-      !parseHugePages(Argc, Argv, Cfg))
+                    "a stamp >= 0 (0 = unstamped)", Cfg.ProfileGeneration))
     return 2;
   if (const char *PMode = flagValue(Argc, Argv, "--profile-mode")) {
     if (std::strcmp(PMode, "sampled") == 0) {
@@ -353,9 +335,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
                     Cfg.SamplePeriod, 1, TraceOptions::MaxSamplePeriod))
     return 2;
   CollectedProfiles Prof = collectProfiles(*P, Cfg, Run);
-  for (const ProfileIssue &I : Prof.ClusterIssues)
-    std::fprintf(stderr, "note: cluster profile: %s (%s)\n", I.Detail.c_str(),
-                 profileErrorSlug(I.Kind));
 
   obs::StartupReport Report;
   Report.Target = Target;
@@ -383,7 +362,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   }
   bool Ok = writeFile(Dir + "/cu.csv", Prof.Cu.toCsv()) &&
             writeFile(Dir + "/method.csv", Prof.Method.toCsv()) &&
-            writeFile(Dir + "/cluster.csv", Prof.Cluster.toCsv()) &&
             writeFile(Dir + "/blocks.csv", Prof.Blocks.toCsv()) &&
             writeFile(Dir + "/heap_inc.csv", Prof.IncrementalId.toCsv()) &&
             writeFile(Dir + "/heap_struct.csv", Prof.StructuralHash.toCsv()) &&
@@ -392,7 +370,7 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
     std::fprintf(stderr, "error: cannot write profiles to %s\n", Dir.c_str());
     return 1;
   }
-  std::printf("wrote ordering profiles to %s/{cu,method,cluster,blocks,"
+  std::printf("wrote ordering profiles to %s/{cu,method,blocks,"
               "heap_inc,heap_struct,heap_path}.csv\n",
               Dir.c_str());
   std::printf("  cu entries: %zu, methods: %zu, heap objects: %zu\n",
@@ -405,11 +383,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
                 (unsigned long long)Prof.CuRun.SamplePeriod,
                 (unsigned long long)Prof.CuRun.SampleEventsSkipped,
                 Prof.CuRun.SampleCoveragePermille);
-  std::printf("  cluster: %zu clusters over %zu CUs (%zu merges, %zu "
-              "budget rejections)\n",
-              Prof.ClusterLayoutStats.Clusters, Prof.ClusterLayoutStats.Nodes,
-              Prof.ClusterLayoutStats.Merges,
-              Prof.ClusterLayoutStats.BudgetRejections);
   return 0;
 }
 
@@ -419,8 +392,10 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
     return 1;
   BuildConfig Cfg;
   if (!unsignedFlag(Argc, Argv, "--seed", "an unsigned integer", Cfg.Seed) ||
-      !parseHugePages(Argc, Argv, Cfg) ||
-      !flagValueAllowed(Argc, Argv, "--code", "cu|method|cluster") ||
+      !unsignedFlag(Argc, Argv, "--huge-pages",
+                    "a 2 MiB page count >= 0 (0 = no huge pages)",
+                    Cfg.Image.HugePages, 0, 1u << 20) ||
+      !flagValueAllowed(Argc, Argv, "--code", "cu|method") ||
       !flagValueAllowed(Argc, Argv, "--heap", "inc|struct|path"))
     return 2;
 
@@ -465,25 +440,20 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   HeapProfile HeapProf;
   const char *Code = flagValue(Argc, Argv, "--code");
   if (MemberMode) {
-    // Member sets are cu-order captures; merge feeds the cu (or cluster)
-    // code strategy. No --code defaults to cu.
+    // Member sets are cu-order captures; merge feeds the cu code
+    // strategy. No --code defaults to cu.
     if (Code && std::strcmp(Code, "method") == 0)
       std::fprintf(stderr,
                    "warning: member profiles are cu-order captures; "
                    "--code method will degrade to the default layout\n");
     Cfg.CodeOrder = !Code || std::strcmp(Code, "cu") == 0
                         ? CodeStrategy::CuOrder
-                        : std::strcmp(Code, "cluster") == 0
-                              ? CodeStrategy::Cluster
-                              : CodeStrategy::MethodOrder;
+                        : CodeStrategy::MethodOrder;
     Cfg.CodeMembers = &Members;
   } else if (Code) {
     std::string Csv;
-    std::string File = Dir + (std::strcmp(Code, "method") == 0
-                                  ? "/method.csv"
-                                  : std::strcmp(Code, "cluster") == 0
-                                        ? "/cluster.csv"
-                                        : "/cu.csv");
+    std::string File =
+        Dir + (std::strcmp(Code, "method") == 0 ? "/method.csv" : "/cu.csv");
     if (!readFile(File, Csv)) {
       std::fprintf(stderr, "error: missing profile %s (run 'profile' "
                            "first)\n",
@@ -502,9 +472,7 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
                    File.c_str(), Report.RowsSkipped);
     Cfg.CodeOrder = std::strcmp(Code, "method") == 0
                         ? CodeStrategy::MethodOrder
-                        : std::strcmp(Code, "cluster") == 0
-                              ? CodeStrategy::Cluster
-                              : CodeStrategy::CuOrder;
+                        : CodeStrategy::CuOrder;
     Cfg.CodeProf = &CodeProf;
   }
   if (const char *HeapFlag = flagValue(Argc, Argv, "--heap")) {

@@ -137,8 +137,8 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     MergeOptions MOpts = Cfg.Merge;
     if (!MOpts.ExpectedFingerprint)
       MOpts.ExpectedFingerprint = BuildFp;
-    // A method-order build merges method-granularity members; everything
-    // else (cu, cluster) merges cu-granularity ones.
+    // A method-order build merges method-granularity members; a cu build
+    // merges cu-granularity ones.
     MOpts.ExpectedMode = Cfg.CodeOrder == CodeStrategy::MethodOrder
                              ? TraceMode::MethodOrder
                              : TraceMode::CuOrder;
@@ -417,14 +417,8 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       Out.Method.Header.CoveragePermille =
           std::min(Out.Method.Header.CoveragePermille, Estimate);
     }
-    // Samples carry no CU transitions or path records, so the cluster
-    // profile degrades to the sampled cu order and splitting evidence is
-    // typed-unavailable — both documented degradations, not failures.
-    Out.Cluster = Out.Cu;
-    Out.ClusterIssues.push_back(
-        {ProfileError::EmptyTransitionGraph, 0,
-         "sampled capture carries no CU transitions; cluster ordering "
-         "degrades to the sampled cu order"});
+    // Samples carry no path records, so splitting evidence is
+    // typed-unavailable — a documented degradation, not a failure.
     Out.Blocks.LoadError = ProfileError::InsufficientBlockProfile;
     Out.Blocks.Header.Fingerprint = Fp;
     Out.Blocks.Header.Generation = Gen;
@@ -439,20 +433,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       Out.Cu = analyzeCuOrder(P, CuCap, &Out.CuSalvage);
       Out.Cu.Header.Fingerprint = Fp;
       Out.Cu.Header.Generation = Gen;
-    }
-    {
-      // The cluster profile reuses the cu-mode capture: CU transitions are
-      // already in it, so clustering costs one more post-processing pass,
-      // not another instrumented run.
-      NIMG_SPAN("profile", "post.cluster");
-      ClusterOptions COpts;
-      COpts.PageBudgetBytes = Cfg.ClusterPageBudget;
-      COpts.HugePages = Cfg.Image.HugePages;
-      Out.Cluster =
-          analyzeClusterOrder(P, CuCap, Img.Code, COpts, nullptr,
-                              &Out.ClusterIssues, &Out.ClusterLayoutStats);
-      Out.Cluster.Header.Fingerprint = Fp;
-      Out.Cluster.Header.Generation = Gen;
     }
 
     TraceCapture MethodCap;

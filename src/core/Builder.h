@@ -24,7 +24,6 @@
 #define NIMG_CORE_BUILDER_H
 
 #include "src/image/NativeImage.h"
-#include "src/ordering/ClusterLayout.h"
 #include "src/ordering/Orderers.h"
 #include "src/profiling/Aggregate.h"
 #include "src/profiling/Analyses.h"
@@ -48,11 +47,6 @@ struct BuildConfig {
 
   /// Structural-hash recursion bound (Sec. 7.1 uses 2).
   int StructuralMaxDepth = DefaultStructuralMaxDepth;
-
-  /// Cluster-ordering page budget (bytes per cluster; 0 = unlimited).
-  /// Consumed by collectProfiles when it derives the cluster profile from
-  /// the cu-mode trace; the optimizing build just ingests the CSV.
-  uint32_t ClusterPageBudget = DefaultClusterPageBudget;
 
   // Ordering strategies of the optimizing build.
   CodeStrategy CodeOrder = CodeStrategy::None;
@@ -118,9 +112,6 @@ NativeImage buildNativeImage(Program &P, const BuildConfig &Cfg);
 struct CollectedProfiles {
   CodeProfile Cu;
   CodeProfile Method;
-  /// Call-graph cluster ordering, derived from the same cu-mode trace as
-  /// Cu (no extra instrumented run); a permutation of Cu's CU set.
-  CodeProfile Cluster;
   /// Per-block execution counts, derived from the same method-order trace
   /// as Method (no extra instrumented run); feeds --split hotcold.
   BlockProfile Blocks;
@@ -134,11 +125,6 @@ struct CollectedProfiles {
   SalvageStats CuSalvage;
   SalvageStats MethodSalvage;
   SalvageStats HeapSalvage;
-  /// Diagnostics from the cluster analysis (EmptyTransitionGraph when the
-  /// cu trace carried no CU transitions and the profile degraded to plain
-  /// cu ordering) plus what the greedy pass did.
-  std::vector<ProfileIssue> ClusterIssues;
-  ClusterStats ClusterLayoutStats;
   /// Instrumented runs re-executed because the first attempt produced an
   /// empty capture (retried once, in the memory-mapped dump mode).
   int RetriedRuns = 0;

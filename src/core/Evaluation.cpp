@@ -58,8 +58,6 @@ BuildConfig nimg::layoutConfig(const LayoutVariant &V,
     Cfg.CodeProf = &Prof.Cu;
   else if (V.Code == CodeStrategy::MethodOrder)
     Cfg.CodeProf = &Prof.Method;
-  else if (V.Code == CodeStrategy::Cluster)
-    Cfg.CodeProf = &Prof.Cluster;
   if (V.Heap) {
     Cfg.UseHeapOrder = true;
     Cfg.HeapOrder = *V.Heap;
@@ -76,7 +74,6 @@ const std::vector<NamedLayout> &nimg::paperStrategies() {
   static const std::vector<NamedLayout> Strategies = {
       {"cu", {.Code = CodeStrategy::CuOrder}},
       {"method", {.Code = CodeStrategy::MethodOrder}},
-      {"cluster", {.Code = CodeStrategy::Cluster}},
       {"incremental id", {.Heap = HeapStrategy::IncrementalId}},
       {"structural hash", {.Heap = HeapStrategy::StructuralHash}},
       {"heap path", {.Heap = HeapStrategy::HeapPath}},

@@ -112,8 +112,8 @@ struct BenchmarkEval {
   double HeapOverhead = 1.0;
 };
 
-/// The seven strategies of Figs. 2–5, in column order: cu, method,
-/// cluster, incremental id, structural hash, heap path, cu+heap path.
+/// The six strategies of Figs. 2–5, in column order: cu, method,
+/// incremental id, structural hash, heap path, cu+heap path.
 const std::vector<NamedLayout> &paperStrategies();
 
 /// A compiled benchmark with its profile bundle (one instrumented build,

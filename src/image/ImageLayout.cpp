@@ -29,7 +29,7 @@ ImageLayout nimg::computeImageLayout(const Program &P,
   assert(L.CuOrder.size() == CP.CUs.size() && "CU order must be a permutation");
 
   // Hot fragments (or whole CUs) go wherever the active code strategy puts
-  // them — splitting composes with cu/method/cluster ordering.
+  // them — splitting composes with cu/method ordering.
   L.CuOffsets.assign(CP.CUs.size(), 0);
   uint64_t Off = 0;
   for (int32_t CuIdx : L.CuOrder) {

@@ -82,6 +82,9 @@ enum class BinaryOp : uint8_t {
 struct AstExpr {
   ExprKind K;
   int Line = 0;
+  /// Nodes on the longest path from here to a leaf (a leaf is 1); the
+  /// parser rejects trees taller than MaxNestingDepth.
+  int Height = 1;
 
   int64_t IntVal = 0;
   double DblVal = 0;

@@ -2,6 +2,7 @@
 
 #include "src/lang/Parser.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace nimg;
@@ -55,6 +56,39 @@ private:
     if (!Failed)
       Errors.push_back("line " + std::to_string(peek().Line) + ": " + Msg);
     Failed = true;
+  }
+
+  void nestingError() {
+    error("nesting deeper than " + std::to_string(MaxNestingDepth) +
+          " levels");
+  }
+
+  /// One level of parser recursion, held for the lifetime of a statement
+  /// or unary-operand parse. Past MaxNestingDepth the parse fails and the
+  /// caller returns at once, so the recursion unwinds.
+  class NestingGuard {
+  public:
+    explicit NestingGuard(Parser &Self) : Self(Self) {
+      if (++Self.Depth > MaxNestingDepth)
+        Self.nestingError();
+    }
+    ~NestingGuard() { --Self.Depth; }
+    bool exceeded() const { return Self.Depth > MaxNestingDepth; }
+
+  private:
+    Parser &Self;
+  };
+
+  /// Sets \p E's height from its children's and fails the parse when the
+  /// tree grows taller than MaxNestingDepth.
+  ExprPtr sealed(ExprPtr E) {
+    for (const std::vector<ExprPtr> *List : {&E->Kids, &E->Args})
+      for (const ExprPtr &Kid : *List)
+        if (Kid)
+          E->Height = std::max(E->Height, Kid->Height + 1);
+    if (E->Height > MaxNestingDepth)
+      nestingError();
+    return E;
   }
 
   bool isTypeStart(size_t Ahead = 0) const {
@@ -346,6 +380,9 @@ private:
   }
 
   StmtPtr parseStmt() {
+    NestingGuard Guard(*this);
+    if (Guard.exceeded())
+      return makeStmt(StmtKind::Block);
     switch (peek().Kind) {
     case TokKind::LBrace:
       return parseBlock();
@@ -547,7 +584,7 @@ private:
       Bin->Line = Left->Line;
       Bin->Kids.push_back(std::move(Left));
       Bin->Kids.push_back(std::move(Right));
-      Left = std::move(Bin);
+      Left = sealed(std::move(Bin));
     }
     return Left;
   }
@@ -603,12 +640,15 @@ private:
   }
 
   ExprPtr parseUnary() {
+    NestingGuard Guard(*this);
+    if (Guard.exceeded())
+      return makeExpr(ExprKind::NullLit);
     if (check(TokKind::Minus) || check(TokKind::Bang)) {
       ExprPtr E = makeExpr(ExprKind::Unary);
       E->UOp = check(TokKind::Minus) ? UnaryOp::Neg : UnaryOp::Not;
       advance();
       E->Kids.push_back(parseUnary());
-      return E;
+      return sealed(std::move(E));
     }
     if (looksLikeCast()) {
       ExprPtr E = makeExpr(ExprKind::Cast);
@@ -616,7 +656,7 @@ private:
       parseType(E->Ty);
       expect(TokKind::RParen, "after cast type");
       E->Kids.push_back(parseUnary());
-      return E;
+      return sealed(std::move(E));
     }
     return parsePostfix();
   }
@@ -636,13 +676,13 @@ private:
           Call->Line = E->Line;
           Call->Kids.push_back(std::move(E));
           parseArgs(Call->Args);
-          E = std::move(Call);
+          E = sealed(std::move(Call));
         } else {
           ExprPtr Member = makeExpr(ExprKind::Member);
           Member->Name = std::move(Name);
           Member->Line = E->Line;
           Member->Kids.push_back(std::move(E));
-          E = std::move(Member);
+          E = sealed(std::move(Member));
         }
         continue;
       }
@@ -653,7 +693,7 @@ private:
         Index->Kids.push_back(std::move(E));
         Index->Kids.push_back(parseExpr());
         expect(TokKind::RBracket, "after array index");
-        E = std::move(Index);
+        E = sealed(std::move(Index));
         continue;
       }
       break;
@@ -705,7 +745,7 @@ private:
         Call->Name = std::move(Name);
         Call->Kids.push_back(nullptr); // Unqualified call.
         parseArgs(Call->Args);
-        return Call;
+        return sealed(std::move(Call));
       }
       ExprPtr E = makeExpr(ExprKind::Ident);
       E->Name = std::move(Name);
@@ -747,7 +787,7 @@ private:
       ExprPtr E = makeExpr(ExprKind::New);
       E->Ty = std::move(Base);
       parseArgs(E->Args);
-      return E;
+      return sealed(std::move(E));
     }
     if (!expect(TokKind::LBracket, "after array element type"))
       return makeExpr(ExprKind::NullLit);
@@ -762,13 +802,14 @@ private:
       ++Base.Rank;
     }
     E->Ty = std::move(Base);
-    return E;
+    return sealed(std::move(E));
   }
 
   std::vector<Token> Toks;
   AstUnit &Unit;
   std::vector<std::string> &Errors;
   size_t Pos = 0;
+  int Depth = 0;
   bool Failed = false;
 };
 

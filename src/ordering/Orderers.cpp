@@ -18,8 +18,6 @@ const char *nimg::codeStrategyName(CodeStrategy S) {
     return "cu";
   case CodeStrategy::MethodOrder:
     return "method";
-  case CodeStrategy::Cluster:
-    return "cluster";
   }
   return "?";
 }

@@ -28,17 +28,14 @@
 
 namespace nimg {
 
-enum class CodeStrategy : uint8_t { None, CuOrder, MethodOrder, Cluster };
+enum class CodeStrategy : uint8_t { None, CuOrder, MethodOrder };
 
 const char *codeStrategyName(CodeStrategy S);
 
 /// Returns CU indices in .text placement order. Profiled CUs come first in
 /// profile position; unprofiled CUs follow in the default (alphabetical)
 /// order. MethodOrder ranks a CU by the minimum profile position over its
-/// root and all inlined methods; CuOrder and Cluster rank by the root
-/// alone (a cluster profile is a permutation of the cu profile's CU set,
-/// already arranged by the call-graph solver — see
-/// src/ordering/ClusterLayout.h).
+/// root and all inlined methods; CuOrder ranks by the root alone.
 std::vector<int32_t> orderCusWithProfile(const Program &P,
                                          const CompiledProgram &CP,
                                          const CodeProfile &Profile,

@@ -90,7 +90,7 @@ struct MergeOptions {
   /// Trace granularity every member must carry; anything else is
   /// quarantined (ModeMismatch). Rank merging only makes sense within one
   /// granularity, so a --code method build sets MethodOrder here and a
-  /// cu/cluster build keeps the CuOrder default.
+  /// cu build keeps the CuOrder default.
   TraceMode ExpectedMode = TraceMode::CuOrder;
 };
 

@@ -43,7 +43,7 @@ struct CodeProfile {
   std::vector<std::string> Sigs;
   /// Optional per-sig event counts (cu mode: cu_enter events observed for
   /// the root, summed across threads). Either empty (no count evidence —
-  /// legacy and method/cluster profiles) or parallel to Sigs. The merge
+  /// legacy and method profiles) or parallel to Sigs. The merge
   /// drift scorer compares these distributions across fleet members.
   std::vector<uint64_t> Counts;
 
@@ -130,7 +130,7 @@ CodeProfile analyzeMethodOrder(const Program &P, const TraceCapture &Capture,
 /// roots ordered by their earliest sample (per-thread streams merged in
 /// creation order), counts = sample hits per root. The emitted profile is
 /// stamped Mode=cu with Capture=Sampled and the capture's period, so it
-/// flows through the cu/cluster ingestion paths unchanged.
+/// flows through the cu ingestion path unchanged.
 CodeProfile analyzeSampledCuOrder(const Program &P, const TraceCapture &Capture,
                                   SalvageStats *Stats = nullptr);
 

@@ -47,8 +47,6 @@ enum class ProfileError : uint8_t {
   MalformedCell,       ///< A payload cell failed to parse (row skipped).
   LegacyFormat,        ///< Informational: headerless pre-v1 file.
   WorkerFault,         ///< A parallel build task threw; its unit degraded.
-  EmptyTransitionGraph, ///< Cluster analysis saw no CU transitions; the
-                        ///< profile degraded to plain cu ordering.
   InsufficientBlockProfile, ///< Block counts missing or salvage coverage
                             ///< below threshold; CUs stay unsplit.
   CoverageBelowGate,   ///< Merge member's salvage coverage under the gate.
@@ -88,8 +86,6 @@ inline const char *profileErrorName(ProfileError E) {
     return "legacy headerless format";
   case ProfileError::WorkerFault:
     return "worker task fault";
-  case ProfileError::EmptyTransitionGraph:
-    return "empty transition graph";
   case ProfileError::InsufficientBlockProfile:
     return "insufficient block profile";
   case ProfileError::CoverageBelowGate:
@@ -132,8 +128,6 @@ inline const char *profileErrorSlug(ProfileError E) {
     return "legacy_format";
   case ProfileError::WorkerFault:
     return "worker_fault";
-  case ProfileError::EmptyTransitionGraph:
-    return "empty_transition_graph";
   case ProfileError::InsufficientBlockProfile:
     return "insufficient_block_profile";
   case ProfileError::CoverageBelowGate:

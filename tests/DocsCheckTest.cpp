@@ -116,8 +116,8 @@ struct Inventory {
     for (const std::string &Fam : dynamicFamilies())
       if (Tok == Fam || Tok.rfind(Fam + ".", 0) == 0)
         return true;
-    // A family prefix of a static literal ("nimg.order.cluster" for
-    // "nimg.order.cluster.runs") is fine in prose.
+    // A family prefix of a static literal ("nimg.order.code" for
+    // "nimg.order.code.runs") is fine in prose.
     for (const std::string &S : Static)
       if (S.rfind(Tok + ".", 0) == 0)
         return true;

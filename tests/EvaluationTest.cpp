@@ -42,7 +42,7 @@ Members stampedMembers(const CodeProfile &Prof) {
   return Out;
 }
 
-/// The paper matrix (baseline + seven strategies) in both series, each
+/// The paper matrix (baseline + six strategies) in both series, each
 /// wired the way the figure benches' shared evaluation loop wired it.
 std::vector<Case> paperCases() {
   const NamedLayout Series[] = {
@@ -70,8 +70,6 @@ void wirePaperCell(const LayoutVariant &V, BuildConfig &Cfg,
     Cfg.CodeProf = &Prof.Cu;
   else if (V.Code == CodeStrategy::MethodOrder)
     Cfg.CodeProf = &Prof.Method;
-  else if (V.Code == CodeStrategy::Cluster)
-    Cfg.CodeProf = &Prof.Cluster;
   Cfg.UseHeapOrder = V.Heap.has_value();
   if (V.Heap) {
     Cfg.HeapOrder = *V.Heap;
@@ -88,25 +86,16 @@ void wirePaperCell(const LayoutVariant &V, BuildConfig &Cfg,
 /// hand wiring.
 std::vector<Case> benchCases() {
   const LayoutVariant Cu{.Code = CodeStrategy::CuOrder};
-  const LayoutVariant Cluster{.Code = CodeStrategy::Cluster};
-  const LayoutVariant ClusterSplit{.Code = CodeStrategy::Cluster,
-                                   .Split = SplitMode::HotCold};
+  const LayoutVariant CuSplit{.Code = CodeStrategy::CuOrder,
+                              .Split = SplitMode::HotCold};
   const LayoutVariant CuHeapPath{.Code = CodeStrategy::CuOrder,
                                  .Heap = HeapStrategy::HeapPath};
   std::vector<Case> Out = {
       // abl_split / fleet_storm.
-      {"cu_split",
-       {.Code = CodeStrategy::CuOrder, .Split = SplitMode::HotCold},
+      {"cu_split", CuSplit,
        [](BuildConfig &C, const CollectedProfiles &P, const Members *) {
          C.CodeOrder = CodeStrategy::CuOrder;
          C.CodeProf = &P.Cu;
-         C.Split = SplitMode::HotCold;
-         C.BlockProf = &P.Blocks;
-       }},
-      {"cluster_split", ClusterSplit,
-       [](BuildConfig &C, const CollectedProfiles &P, const Members *) {
-         C.CodeOrder = CodeStrategy::Cluster;
-         C.CodeProf = &P.Cluster;
          C.Split = SplitMode::HotCold;
          C.BlockProf = &P.Blocks;
        }},
@@ -121,12 +110,6 @@ std::vector<Case> benchCases() {
        {.Code = CodeStrategy::MethodOrder, .MergedMembers = true},
        [](BuildConfig &C, const CollectedProfiles &, const Members *M) {
          C.CodeOrder = CodeStrategy::MethodOrder;
-         C.CodeMembers = M;
-       }},
-      {"cluster_merged",
-       {.Code = CodeStrategy::Cluster, .MergedMembers = true},
-       [](BuildConfig &C, const CollectedProfiles &, const Members *M) {
-         C.CodeOrder = CodeStrategy::Cluster;
          C.CodeMembers = M;
        }},
       // abl_maxdepth's ordered build.
@@ -152,8 +135,8 @@ std::vector<Case> benchCases() {
          C.BlockProf = &P.Blocks;
        }},
   };
-  // abl_hugepages sweeps {cu, cluster, cluster+split} over budgets
-  // 0/1/2/4; fig6 panel (d) is cu + heap path at budget 1.
+  // abl_hugepages sweeps {cu, cu+split} over budgets 0/1/2/4; fig6
+  // panel (d) is cu + heap path at budget 1.
   for (uint32_t Budget : {1u, 2u, 4u}) {
     LayoutVariant V = Cu;
     V.HugePages = Budget;
@@ -163,21 +146,13 @@ std::vector<Case> benchCases() {
                      C.CodeOrder = CodeStrategy::CuOrder;
                      C.CodeProf = &P.Cu;
                    }});
-    V = Cluster;
+    V = CuSplit;
     V.HugePages = Budget;
-    Out.push_back({"cluster_huge" + std::to_string(Budget), V,
+    Out.push_back({"cu_split_huge" + std::to_string(Budget), V,
                    [](BuildConfig &C, const CollectedProfiles &P,
                       const Members *) {
-                     C.CodeOrder = CodeStrategy::Cluster;
-                     C.CodeProf = &P.Cluster;
-                   }});
-    V = ClusterSplit;
-    V.HugePages = Budget;
-    Out.push_back({"cluster_split_huge" + std::to_string(Budget), V,
-                   [](BuildConfig &C, const CollectedProfiles &P,
-                      const Members *) {
-                     C.CodeOrder = CodeStrategy::Cluster;
-                     C.CodeProf = &P.Cluster;
+                     C.CodeOrder = CodeStrategy::CuOrder;
+                     C.CodeProf = &P.Cu;
                      C.Split = SplitMode::HotCold;
                      C.BlockProf = &P.Blocks;
                    }});
@@ -211,7 +186,7 @@ TEST(EvaluationTest, LayoutConfigMatchesHandWiredBuilds) {
   std::vector<Case> Cases = paperCases();
   for (Case &C : benchCases())
     Cases.push_back(std::move(C));
-  ASSERT_EQ(Cases.size(), 16u + 17u);
+  ASSERT_EQ(Cases.size(), 14u + 12u);
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
     BuildConfig Ref;

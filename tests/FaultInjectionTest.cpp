@@ -227,51 +227,6 @@ TEST(FaultInjection, TraceFaultMatrixSurvivesOptimizingBuild) {
         runTraceScenario(Seed, Mode, Kind, /*AlsoRun=*/Seed % 4 == 0);
 }
 
-// Cluster analysis consumes the same cu-mode captures; every trace fault
-// must still yield a profile that is a permutation of the salvaged cu
-// profile (or an explicit fallback) and feed a completed cluster build.
-TEST(FaultInjection, ClusterAnalysisSurvivesTraceFaults) {
-  Corpus &C = corpus();
-  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
-    for (TraceFault Kind : {TraceFault::TruncateMidRecord, TraceFault::BitFlip,
-                            TraceFault::DropThread}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << Seed << " fault=" << int(Kind));
-      TraceCapture Cap = C.Caps[size_t(TraceMode::CuOrder)];
-      FaultInjector Inj(Seed);
-      Inj.applyTraceFault(Cap, Kind);
-
-      CodeProfile CuProf = analyzeCuOrder(C.P, Cap);
-      std::vector<ProfileIssue> Issues;
-      ClusterStats Stats;
-      CodeProfile Prof =
-          analyzeClusterOrder(C.P, Cap, C.InstrImg.Code, ClusterOptions(),
-                              nullptr, &Issues, &Stats);
-      std::vector<std::string> A = CuProf.Sigs, B = Prof.Sigs;
-      std::sort(A.begin(), A.end());
-      std::sort(B.begin(), B.end());
-      EXPECT_EQ(A, B);
-      if (Stats.FellBack) {
-        ASSERT_FALSE(Issues.empty());
-        EXPECT_EQ(Issues[0].Kind, ProfileError::EmptyTransitionGraph);
-      }
-
-      Prof.Header.Fingerprint = C.Fp;
-      BuildConfig Cfg;
-      Cfg.Seed = 5 + Seed;
-      Cfg.CodeOrder = CodeStrategy::Cluster;
-      Cfg.CodeProf = &Prof;
-      NativeImage Img = buildNativeImage(C.P, Cfg);
-      ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
-      if (Seed % 4 == 0) {
-        RunStats S = runImage(Img, RunConfig());
-        EXPECT_FALSE(S.Trapped) << S.TrapMessage;
-        EXPECT_EQ(S.Output, C.BaselineOutput);
-      }
-    }
-  }
-}
-
 // 10 seeds x 3 profile files x 2 text faults = 60 seeded CSV scenarios.
 TEST(FaultInjection, CsvFaultMatrixSurvivesIngestionAndBuild) {
   Corpus &C = corpus();
@@ -634,12 +589,12 @@ TEST(FaultInjection, SplitBuildsSurviveTraceFaults) {
   }
 }
 
-// Cluster ordering places split CUs' hot fragments. With both of its
-// inputs derived from faulted captures (the cluster profile from the
-// cu-mode trace, the block profile from the method-order trace), the
-// build must complete, fragment accounting must balance, and every run
-// must reproduce the baseline output — never crash.
-TEST(FaultInjection, ClusterSplitBuildsSurviveTraceFaults) {
+// Cu ordering places split CUs' hot fragments. With both of its inputs
+// derived from faulted captures (the cu profile from the cu-mode trace,
+// the block profile from the method-order trace), the build must
+// complete, fragment accounting must balance, and every run must
+// reproduce the baseline output — never crash.
+TEST(FaultInjection, CuSplitBuildsSurviveTraceFaults) {
   Corpus &C = corpus();
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     for (TraceFault Kind : {TraceFault::TruncateMidRecord, TraceFault::BitFlip,
@@ -652,16 +607,16 @@ TEST(FaultInjection, ClusterSplitBuildsSurviveTraceFaults) {
       Inj.applyTraceFault(CuCap, Kind);
       Inj.applyTraceFault(MethodCap, Kind);
 
-      CodeProfile Cluster = analyzeClusterOrder(C.P, CuCap, C.InstrImg.Code);
-      Cluster.Header.Fingerprint = C.Fp;
+      CodeProfile Cu = analyzeCuOrder(C.P, CuCap);
+      Cu.Header.Fingerprint = C.Fp;
       BlockProfile Blocks =
           analyzeBlockCounts(C.P, MethodCap, C.Paths, nullptr);
       Blocks.Header.Fingerprint = C.Fp;
 
       BuildConfig Cfg;
       Cfg.Seed = 9 + Seed;
-      Cfg.CodeOrder = CodeStrategy::Cluster;
-      Cfg.CodeProf = &Cluster;
+      Cfg.CodeOrder = CodeStrategy::CuOrder;
+      Cfg.CodeProf = &Cu;
       Cfg.Split = SplitMode::HotCold;
       Cfg.BlockProf = &Blocks;
       NativeImage Img = buildNativeImage(C.P, Cfg);

@@ -79,10 +79,8 @@ struct Env {
     BuildConfig Cfg;
     Cfg.Seed = 1;
     Cfg.CodeOrder = Code;
-    Cfg.CodeProf = Code == CodeStrategy::CuOrder
-                       ? &Prof.Cu
-                       : Code == CodeStrategy::MethodOrder ? &Prof.Method
-                                                          : &Prof.Cluster;
+    Cfg.CodeProf =
+        Code == CodeStrategy::MethodOrder ? &Prof.Method : &Prof.Cu;
     if (Split) {
       Cfg.Split = SplitMode::HotCold;
       Cfg.BlockProf = &Prof.Blocks;
@@ -116,8 +114,7 @@ TEST(FleetSim, OneInstanceEqualsSingleRunForEveryStrategy) {
   const Variant Variants[] = {
       {CodeStrategy::CuOrder, false},
       {CodeStrategy::MethodOrder, false},
-      {CodeStrategy::Cluster, false},
-      {CodeStrategy::Cluster, true},
+      {CodeStrategy::CuOrder, true},
   };
   for (const Variant &V : Variants) {
     SCOPED_TRACE(::testing::Message()
@@ -151,7 +148,7 @@ TEST(FleetSim, OneInstanceStaysExactUnderTinyCache) {
   // eviction can never force a re-fault at N=1: exactness must survive
   // even a minimal cache.
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, true);
   RunConfig Run = demandRun();
   RunStats Single = runImage(Img, Run);
 
@@ -171,8 +168,8 @@ TEST(FleetSim, OneInstanceStaysExactWithHugePages) {
   Env E;
   BuildConfig Cfg;
   Cfg.Seed = 1;
-  Cfg.CodeOrder = CodeStrategy::Cluster;
-  Cfg.CodeProf = &E.Prof.Cluster;
+  Cfg.CodeOrder = CodeStrategy::CuOrder;
+  Cfg.CodeProf = &E.Prof.Cu;
   Cfg.Image.HugePages = 1;
   NativeImage Img = buildNativeImage(E.P, Cfg);
   ASSERT_FALSE(Img.Built.Failed);
@@ -209,7 +206,7 @@ TEST(FleetSim, ByteIdenticalAcrossJobs) {
   const int JobsLadder[] = {1, 2, 5, 8};
   for (size_t I = 0; I < 4; ++I) {
     setJobs(JobsLadder[I]);
-    NativeImage Img = E.build(CodeStrategy::Cluster, true);
+    NativeImage Img = E.build(CodeStrategy::CuOrder, true);
     FleetResult FR = runFleet(Img, demandRun(), FC);
     if (I == 0) {
       Majors = FR.TotalMajors;
@@ -270,7 +267,7 @@ TEST(FleetSim, SeedChangesArrivalsButNotColdPageEconomy) {
 
 TEST(FleetSim, SecondInstanceRidesWarmPages) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, false);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, false);
   FleetConfig FC;
   FC.Instances = 2;
   FC.ArrivalWindowNs = 1e6;
@@ -423,7 +420,7 @@ TEST(PagingSim, EvictPageForcesRefault) {
 
 TEST(PagingSim, FirstTouchTraceAccountsForEveryFault) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, true);
   RunConfig Run = demandRun();
   Run.RecordTouches = true;
   RunStats S = runImage(Img, Run);
@@ -465,7 +462,7 @@ TEST(FleetPageCache, CapacityIsClampedToReadaheadCluster) {
 
 TEST(FleetReport, FleetSectionRoundTripsThroughJson) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, true);
   FleetConfig FC;
   FC.Instances = 10;
   FC.ArrivalWindowNs = 2e6;

@@ -153,6 +153,85 @@ TEST(Parser, ForLoopVariants) {
       << (Errors.empty() ? "" : Errors[0]);
 }
 
+// --- Nesting limit ------------------------------------------------------------
+//
+// In `class Main { static int main() { BODY } }` the statements of BODY sit
+// at nesting depth 1, and each enclosing statement or unary operand adds
+// one. The deepest accepted source must parse, lower and be destroyed on
+// the test thread's stack; one level more is a compile error, and so is a
+// source nested far beyond the stack.
+
+namespace {
+
+std::string mainWith(const std::string &Body) {
+  return "class Main { static int main() { " + Body + " } }";
+}
+
+std::string repeat(const std::string &S, int N) {
+  std::string Out;
+  Out.reserve(S.size() * size_t(N));
+  for (int I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// `return` (depth 1) of a literal inside \p Parens parentheses: each
+/// parenthesis is one more unary operand, so the literal sits at depth
+/// Parens + 2.
+std::string nestedParens(int Parens) {
+  return mainWith("return " + repeat("(", Parens) + "1" +
+                  repeat(")", Parens) + ";");
+}
+
+/// \p Ifs braced if blocks (two levels each: the if and its block) around
+/// \p Innermost.
+std::string nestedIfs(int Ifs, const std::string &Innermost) {
+  return mainWith("int x = 0; " + repeat("if (x == 0) { ", Ifs) + Innermost +
+                  repeat(" }", Ifs) + " return x;");
+}
+
+/// `return 1 + 1 + ... + 1` with \p Terms literals: a left-deep tree of
+/// height Terms, built without recursion.
+std::string sumChain(int Terms) {
+  return mainWith("return 1" + repeat(" + 1", Terms - 1) + ";");
+}
+
+void expectNestingError(const std::string &Source) {
+  std::vector<std::string> Errors = compileBad(Source);
+  ASSERT_FALSE(Errors.empty());
+  EXPECT_NE(Errors[0].find("nesting deeper than " +
+                           std::to_string(MaxNestingDepth) + " levels"),
+            std::string::npos)
+      << Errors[0];
+}
+
+} // namespace
+
+TEST(Parser, NestedParenthesesStopAtTheLimit) {
+  Program P;
+  compileOk({nestedParens(MaxNestingDepth - 2)}, P);
+  expectNestingError(nestedParens(MaxNestingDepth - 1));
+  expectNestingError(nestedParens(100000));
+}
+
+TEST(Parser, NestedIfBlocksStopAtTheLimit) {
+  static_assert(MaxNestingDepth % 2 == 0);
+  // `return 1;` inside N blocks sits at depth 2N + 1, its literal at
+  // 2N + 2; `if (x == 0) return 1;` adds one level.
+  const int Ifs = (MaxNestingDepth - 2) / 2;
+  Program P;
+  compileOk({nestedIfs(Ifs, "return 1;")}, P);
+  expectNestingError(nestedIfs(Ifs, "if (x == 0) return 1;"));
+  expectNestingError(nestedIfs(100000, "return 1;"));
+}
+
+TEST(Parser, OperatorChainsStopAtTheLimit) {
+  Program P;
+  compileOk({sumChain(MaxNestingDepth)}, P);
+  expectNestingError(sumChain(MaxNestingDepth + 1));
+  expectNestingError(sumChain(100000));
+}
+
 // --- Compilation ----------------------------------------------------------------
 
 TEST(Compile, SimpleProgramResolvesMain) {

@@ -203,8 +203,8 @@ class Main {
 
 /// Everything the pipeline emits that must not depend on the worker count.
 struct PipelineArtifacts {
-  std::string CuCsv, MethodCsv, ClusterCsv, HeapIncCsv, HeapStructCsv,
-      HeapPathCsv, BlocksCsv;
+  std::string CuCsv, MethodCsv, HeapIncCsv, HeapStructCsv, HeapPathCsv,
+      BlocksCsv;
   std::vector<uint64_t> IncIds, StructIds, PathIds;
   uint64_t InlineFingerprint = 0;
   std::vector<uint8_t> ImageBytes;
@@ -213,10 +213,11 @@ struct PipelineArtifacts {
   /// too.
   uint64_t SplitFingerprint = 0;
   std::vector<uint8_t> SplitImageBytes;
-  /// And split under cluster ordering: the cluster profile places the
-  /// hot fragments, and neither may depend on the worker count.
-  uint64_t ClusterSplitFingerprint = 0;
-  std::vector<uint8_t> ClusterSplitImageBytes;
+  /// And split under plain cu ordering (no heap order): the cu profile
+  /// places the hot fragments, and neither may depend on the worker
+  /// count.
+  uint64_t CuSplitFingerprint = 0;
+  std::vector<uint8_t> CuSplitImageBytes;
   /// Fleet aggregation rides on the same pool: the merged profile and the
   /// image it drives must be worker-count-invariant too.
   std::string MergedCsv;
@@ -241,7 +242,6 @@ PipelineArtifacts runPipeline(int Jobs) {
   CollectedProfiles Prof = collectProfiles(P, ProfCfg, RunConfig());
   Art.CuCsv = Prof.Cu.toCsv();
   Art.MethodCsv = Prof.Method.toCsv();
-  Art.ClusterCsv = Prof.Cluster.toCsv();
   Art.HeapIncCsv = Prof.IncrementalId.toCsv();
   Art.HeapStructCsv = Prof.StructuralHash.toCsv();
   Art.HeapPathCsv = Prof.HeapPath.toCsv();
@@ -273,15 +273,14 @@ PipelineArtifacts runPipeline(int Jobs) {
   Art.SplitFingerprint = SplitImg.Split.DecisionFingerprint;
   Art.SplitImageBytes = serializeImage(P, SplitImg);
 
-  BuildConfig ClusterSplitCfg = SplitCfg;
-  ClusterSplitCfg.CodeOrder = CodeStrategy::Cluster;
-  ClusterSplitCfg.CodeProf = &Prof.Cluster;
-  NativeImage ClusterSplitImg = buildNativeImage(P, ClusterSplitCfg);
-  EXPECT_FALSE(ClusterSplitImg.Built.Failed)
-      << ClusterSplitImg.Built.FailureMessage;
-  EXPECT_TRUE(ClusterSplitImg.ProfileDiag.CodeProfileApplied);
-  Art.ClusterSplitFingerprint = ClusterSplitImg.Split.DecisionFingerprint;
-  Art.ClusterSplitImageBytes = serializeImage(P, ClusterSplitImg);
+  BuildConfig CuSplitCfg = SplitCfg;
+  CuSplitCfg.UseHeapOrder = false;
+  CuSplitCfg.HeapProf = nullptr;
+  NativeImage CuSplitImg = buildNativeImage(P, CuSplitCfg);
+  EXPECT_FALSE(CuSplitImg.Built.Failed) << CuSplitImg.Built.FailureMessage;
+  EXPECT_TRUE(CuSplitImg.ProfileDiag.CodeProfileApplied);
+  Art.CuSplitFingerprint = CuSplitImg.Split.DecisionFingerprint;
+  Art.CuSplitImageBytes = serializeImage(P, CuSplitImg);
 
   // Fleet path: capture a 3-member set (one instrumented run each under
   // the same pool), merge, and build from the merged profile.
@@ -316,7 +315,6 @@ TEST(ParallelPipelineTest, JobsOneAndEightAreByteIdentical) {
 
   EXPECT_EQ(One.CuCsv, Eight.CuCsv);
   EXPECT_EQ(One.MethodCsv, Eight.MethodCsv);
-  EXPECT_EQ(One.ClusterCsv, Eight.ClusterCsv);
   EXPECT_EQ(One.HeapIncCsv, Eight.HeapIncCsv);
   EXPECT_EQ(One.HeapStructCsv, Eight.HeapStructCsv);
   EXPECT_EQ(One.HeapPathCsv, Eight.HeapPathCsv);
@@ -328,8 +326,8 @@ TEST(ParallelPipelineTest, JobsOneAndEightAreByteIdentical) {
   EXPECT_EQ(One.BlocksCsv, Eight.BlocksCsv);
   EXPECT_EQ(One.SplitFingerprint, Eight.SplitFingerprint);
   EXPECT_EQ(One.SplitImageBytes, Eight.SplitImageBytes);
-  EXPECT_EQ(One.ClusterSplitFingerprint, Eight.ClusterSplitFingerprint);
-  EXPECT_EQ(One.ClusterSplitImageBytes, Eight.ClusterSplitImageBytes);
+  EXPECT_EQ(One.CuSplitFingerprint, Eight.CuSplitFingerprint);
+  EXPECT_EQ(One.CuSplitImageBytes, Eight.CuSplitImageBytes);
   EXPECT_EQ(One.MergedCsv, Eight.MergedCsv);
   EXPECT_EQ(One.MergedImageBytes, Eight.MergedImageBytes);
 }
@@ -399,9 +397,10 @@ TEST(ParallelPipelineTest, SampledCaptureIsWorkerCountInvariant) {
 }
 
 TEST(ParallelPipelineTest, HugePageBuildsAreWorkerCountInvariant) {
-  // Multi-size packing is a sequential post-pass over the final clusters,
-  // so a --huge-pages build (including its PackFingerprint fold into the
-  // decision fingerprint) must be byte-identical at any --jobs.
+  // A --huge-pages build folds the requested and effective huge-page
+  // counts and the region size into the decision fingerprint (after the
+  // layout, in buildNativeImage), so its image and fingerprint must be
+  // byte-identical at any --jobs.
   auto BuildHuge = [](int Jobs) {
     setJobs(Jobs);
     Program P;
@@ -409,12 +408,13 @@ TEST(ParallelPipelineTest, HugePageBuildsAreWorkerCountInvariant) {
     EXPECT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
     BuildConfig ProfCfg;
     ProfCfg.Seed = 1001;
-    ProfCfg.Image.HugePages = 2;
     CollectedProfiles Prof = collectProfiles(P, ProfCfg, RunConfig());
     BuildConfig Opt;
     Opt.Seed = 7;
-    Opt.CodeOrder = CodeStrategy::Cluster;
-    Opt.CodeProf = &Prof.Cluster;
+    Opt.CodeOrder = CodeStrategy::CuOrder;
+    Opt.CodeProf = &Prof.Cu;
+    Opt.Split = SplitMode::HotCold;
+    Opt.BlockProf = &Prof.Blocks;
     Opt.Image.HugePages = 2;
     NativeImage Img = buildNativeImage(P, Opt);
     EXPECT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
@@ -438,10 +438,9 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
     PipelineArtifacts J = runPipeline(Jobs);
     EXPECT_EQ(One.ImageBytes, J.ImageBytes) << "jobs=" << Jobs;
     EXPECT_EQ(One.CuCsv, J.CuCsv) << "jobs=" << Jobs;
-    EXPECT_EQ(One.ClusterCsv, J.ClusterCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.HeapPathCsv, J.HeapPathCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.SplitImageBytes, J.SplitImageBytes) << "jobs=" << Jobs;
-    EXPECT_EQ(One.ClusterSplitImageBytes, J.ClusterSplitImageBytes)
+    EXPECT_EQ(One.CuSplitImageBytes, J.CuSplitImageBytes)
         << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedCsv, J.MergedCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedImageBytes, J.MergedImageBytes) << "jobs=" << Jobs;

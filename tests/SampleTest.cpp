@@ -396,15 +396,8 @@ TEST(SampledPipeline, CollectProfilesSampledFeedsAllCodeStrategies) {
   EXPECT_GT(Prof.CuRun.SamplesTaken, 0u);
   EXPECT_EQ(Prof.CuRun.SamplePeriod, 512u);
 
-  // Samples carry no CU transitions: the cluster profile degrades to the
-  // sampled cu order with a typed diagnostic; block splitting evidence is
+  // Samples carry no path records: block splitting evidence is
   // typed-unavailable.
-  EXPECT_EQ(Prof.Cluster.Sigs, Prof.Cu.Sigs);
-  bool SawDegradation = false;
-  for (const ProfileIssue &I : Prof.ClusterIssues)
-    if (I.Kind == ProfileError::EmptyTransitionGraph)
-      SawDegradation = true;
-  EXPECT_TRUE(SawDegradation);
   EXPECT_EQ(Prof.Blocks.LoadError, ProfileError::InsufficientBlockProfile);
 
   // The sampled cu profile drives an optimizing build like any other.
